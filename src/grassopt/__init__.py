@@ -17,9 +17,11 @@ from .optim import (
     LrSchedule,
     SgdGState,
     adamg_step,
+    adamg_update,
     euclidean_sgd_step,
     schedule_lr,
     sgdg_step,
+    sgdg_update,
 )
 from .regularizer import LayerColumns, complexity_loss, descent_check, ortho_grad, ortho_loss
 
@@ -41,6 +43,8 @@ __all__ = [
     "LrSchedule",
     "sgdg_step",
     "adamg_step",
+    "sgdg_update",
+    "adamg_update",
     "euclidean_sgd_step",
     "schedule_lr",
     "LayerColumns",

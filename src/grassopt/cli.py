@@ -10,9 +10,10 @@ import sys
 
 from . import checks
 from .config import SCHEMA
-from .errors import ConfigError, GrassoptError, NumericalError
-from .runner import run_compare, run_training
 from .config import load_config
+from .errors import ConfigError, GrassoptError, NumericalError
+from .optim import OPTIMIZERS
+from .runner import run_compare, run_training
 
 __all__ = ["main"]
 
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="compare optimizers over a shared seed set")
     p_compare.add_argument("--config", default=None, help="INI config path")
     p_compare.add_argument("--optimizers", required=True,
-                           help="comma-separated subset of sgd,sgd-g,adam-g")
+                           help=f"comma-separated subset of {','.join(OPTIMIZERS)}")
     p_compare.add_argument("--runs", type=int, default=5)
     _add_config_flags(p_compare)
     return parser
@@ -75,7 +76,7 @@ def cmd_compare(args) -> int:
     names = [n.strip() for n in args.optimizers.split(",") if n.strip()]
     if not names:
         raise ConfigError("compare needs at least one optimizer name")
-    unknown = [n for n in names if n not in ("sgd", "sgd-g", "adam-g")]
+    unknown = [n for n in names if n not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"unknown optimizer name {unknown[0]!r}")
     summary, _ = run_compare(args.config, _collect_overrides(args), names, runs=args.runs)

@@ -10,6 +10,7 @@ import configparser
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .optim import OPTIMIZERS, default_eta_g
 
 __all__ = ["TrainConfig", "SCHEMA", "load_config", "make_config", "config_to_ini"]
 
@@ -102,7 +103,6 @@ for _section, _keys in SCHEMA.items():
         _KEY_SECTION[_key] = _section
 
 _ARCHS = ("mlp", "conv")
-_OPTIMIZERS = ("sgd", "sgd-g", "adam-g")
 _DATASETS = ("blobs", "spirals", "idx", "csv")
 _NORMALIZE_MODES = ("standard", "intensity", "none")
 _METRICS_FORMATS = ("csv", "jsonl")
@@ -150,8 +150,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.arch not in _ARCHS:
             raise ConfigError(f"arch must be one of {_ARCHS}, got {self.arch!r}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.dataset not in _DATASETS:
             raise ConfigError(f"dataset must be one of {_DATASETS}, got {self.dataset!r}")
         if self.normalize_mode not in _NORMALIZE_MODES:
@@ -162,9 +162,8 @@ class TrainConfig:
             raise ConfigError(
                 f"metrics_format must be one of {_METRICS_FORMATS}, got {self.metrics_format!r}"
             )
-        # Resolve the Grassmann learning rate default per optimizer.
         if self.eta_g is None:
-            object.__setattr__(self, "eta_g", 0.2 if self.optimizer == "sgd-g" else 0.05)
+            object.__setattr__(self, "eta_g", default_eta_g(self.optimizer))
         for name in ("eta_e", "eta_g", "nu"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -12,7 +12,7 @@ from .network import (
     build_network,
     partition_parameters,
 )
-from .training import GRASSMANN_OPTIMIZERS, OPTIMIZERS, EpochStats, StepStats, Trainer
+from .training import GRASSMANN_OPTIMIZERS, OPTIMIZERS, EpochStats, LayerState, StepStats, Trainer
 
 __all__ = [
     "BatchNormLayer",
@@ -30,6 +30,7 @@ __all__ = [
     "build_convnet",
     "build_network",
     "Trainer",
+    "LayerState",
     "StepStats",
     "EpochStats",
     "OPTIMIZERS",

@@ -1,10 +1,15 @@
 """The training loop: partitioned updates of Grassmann points and Euclidean parameters.
 
 One train step runs forward/backward once, adds the orthogonality penalty's
-gradient to the ambient gradients of partitioned columns, steps every
-Grassmann point with SGD-G or Adam-G, and steps the remaining parameters with
-the Euclidean baseline. The baseline optimizer ("sgd") skips the partition and
-treats every parameter as Euclidean.
+gradient to the ambient gradients of partitioned matrices, steps every
+Grassmann layer with SGD-G or Adam-G, and steps the remaining parameters with
+the Euclidean baseline. A Grassmann layer's p unit columns are one point on
+G(1, n)^p: each such weight matrix moves in one vectorised update, with its
+optimizer state held per layer. The baseline optimizer ("sgd") skips the
+partition and treats every parameter as Euclidean.
+
+A step applies completely or not at all: every update is computed and
+checked before any parameter, optimizer state or BN statistic is written.
 """
 
 from dataclasses import dataclass
@@ -13,14 +18,34 @@ import numpy as np
 
 from .. import optim
 from ..errors import PreconditionError
-from ..manifold import GrassmannPoint, geodesic_angle
+from ..manifold import GrassmannPoint, angle_columns, require_unit
+from ..optim import GRASSMANN_OPTIMIZERS, OPTIMIZERS
 from ..regularizer import LayerColumns, ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
 
-__all__ = ["StepStats", "EpochStats", "Trainer", "GRASSMANN_OPTIMIZERS", "OPTIMIZERS"]
+__all__ = ["StepStats", "EpochStats", "LayerState", "Trainer", "GRASSMANN_OPTIMIZERS", "OPTIMIZERS"]
 
-GRASSMANN_OPTIMIZERS = ("sgd-g", "adam-g")
-OPTIMIZERS = ("sgd",) + GRASSMANN_OPTIMIZERS
+
+@dataclass
+class LayerState:
+    """Grassmann optimizer state of one BN-fed weight matrix (n-by-p, p points).
+
+    ``base`` is the matrix the momenta were left tangent at; a step refuses
+    to run unless the layer's weights still equal it. ``v`` and ``t`` are
+    Adam-G's per-column second moments and shared step count; SGD-G leaves
+    them at zero.
+    """
+
+    layer_index: int
+    base: np.ndarray
+    tau: np.ndarray
+    v: np.ndarray
+    t: int = 0
+
+    @staticmethod
+    def init(layer_index: int, wm: np.ndarray) -> "LayerState":
+        require_unit(wm, f"columns of layer {layer_index}")
+        return LayerState(layer_index, wm.copy(), np.zeros_like(wm), np.zeros(wm.shape[1]))
 
 
 @dataclass
@@ -90,7 +115,7 @@ class Trainer:
         self.optimizer = optimizer
         self.rng = rng if rng is not None else np.random.default_rng(0)
         if eta_g is None:
-            eta_g = 0.2 if optimizer == "sgd-g" else 0.05
+            eta_g = optim.default_eta_g(optimizer)
         self.eta_e = float(eta_e)
         self.eta_g = float(eta_g)
         self.alpha = float(alpha)
@@ -116,13 +141,9 @@ class Trainer:
             self.partition = full
             self.ortho_layers = full.grassmann_layers
 
-        self.point_states: list = []
-        for ref in self.partition.points:
-            y = self._read_point(ref)
-            if optimizer == "sgd-g":
-                self.point_states.append(optim.SgdGState.init(y, self.sgdg_hyper))
-            else:
-                self.point_states.append(optim.AdamGState.init(y, self.adamg_hyper))
+        self.layer_states = [
+            LayerState.init(k, net.layers[k].weight_matrix()) for k in self.partition.grassmann_layers
+        ]
         self.euclid_states = [
             optim.EuclideanSgdState.init(self._param(ref), self.euclid_hyper)
             for ref in self.partition.euclidean
@@ -159,47 +180,61 @@ class Trainer:
         ortho_total = 0.0
         if self.optimizer in GRASSMANN_OPTIMIZERS and self.alpha > 0:
             for k in self.partition.grassmann_layers:
-                wm = net.layers[k].weight_matrix()
-                lc = LayerColumns(wm, self.alpha)
-                ortho_total += ortho_loss(lc)
+                lc = LayerColumns(net.layers[k].weight_matrix(), self.alpha)
+                gram = lc.Y.T @ lc.Y
+                ortho_total += ortho_loss(lc, gram)
                 gname = self._weight_name(k)
-                grads[k][gname] = grads[k][gname] + ortho_grad(lc).reshape(grads[k][gname].shape)
+                grads[k][gname] = grads[k][gname] + ortho_grad(lc, gram).reshape(grads[k][gname].shape)
 
+        # Compute (and check) every update first; write only once all succeeded.
+        grassmann = []
         angles = []
         max_contrib = 0.0
         max_grad = 0.0
-        one_minus_gamma = 1.0 - self.sgdg_hyper.gamma
-
-        for i, ref in enumerate(self.partition.points):
-            wm = net.layers[ref.layer_index].weight_matrix()
-            gname = self._weight_name(ref.layer_index)
-            gcol = grads[ref.layer_index][gname].reshape(wm.shape)[:, ref.column]
-            y = GrassmannPoint(wm[:, ref.column].copy())
-            gnorm = float(np.linalg.norm(gcol))
-            max_grad = max(max_grad, gnorm)
+        for state in self.layer_states:
+            k = state.layer_index
+            wm = net.layers[k].weight_matrix()
+            g = grads[k][self._weight_name(k)].reshape(wm.shape)
             if self.optimizer == "sgd-g":
+                y_new, tau_new, h_norm = optim.sgdg_update(
+                    wm, g, state.tau, lr_g, self.sgdg_hyper, base=state.base
+                )
+                v_new, t_new = state.v, state.t
                 # contribution of this gradient to total rotation: lr*|clip(h)|/(1-gamma)
-                proj_sq = max(gnorm**2 - float(y.y @ gcol) ** 2, 0.0)
-                h_norm = min(np.sqrt(proj_sq), self.sgdg_hyper.nu)
-                max_contrib = max(max_contrib, lr_g * h_norm / one_minus_gamma)
-                y_new, self.point_states[i] = optim.sgdg_step(y, gcol, self.point_states[i], lr_g)
+                clipped = min(float(h_norm.max()), self.sgdg_hyper.nu)
+                max_contrib = max(max_contrib, lr_g * clipped / (1.0 - self.sgdg_hyper.gamma))
             else:
-                y_new, self.point_states[i] = optim.adamg_step(y, gcol, self.point_states[i], lr_g)
-            angles.append(geodesic_angle(y, y_new))
-            wm[:, ref.column] = y_new.y
+                y_new, tau_new, v_new, _ = optim.adamg_update(
+                    wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, base=state.base
+                )
+                t_new = state.t + 1
+            max_grad = max(max_grad, float(np.sqrt(np.einsum("ij,ij->j", g, g).max())))
+            angles.append(angle_columns(wm, y_new))
+            grassmann.append((state, wm, y_new, tau_new, v_new, t_new))
 
+        euclid = []
         for i, ref in enumerate(self.partition.euclidean):
             arr = self._param(ref)
             g = grads[ref.layer_index][ref.name]
             max_grad = max(max_grad, float(np.linalg.norm(g.ravel())))
-            new, self.euclid_states[i] = optim.euclidean_sgd_step(
+            new, new_state = optim.euclidean_sgd_step(
                 arr, g, self.euclid_states[i], lr_e,
                 apply_weight_decay=self.decay_groups[ref.group],
             )
-            arr[...] = new
+            euclid.append((i, arr, new, new_state))
 
+        # Copied into the existing buffers, so long-lived arrays are not reallocated every step.
+        for state, wm, y_new, tau_new, v_new, t_new in grassmann:
+            wm[...] = y_new
+            state.base[...] = y_new
+            state.tau[...] = tau_new
+            state.v, state.t = v_new, t_new
+        for i, arr, new, new_state in euclid:
+            arr[...] = new
+            self.euclid_states[i] = new_state
         net.apply_running_updates(caches)
-        angles_arr = np.asarray(angles) if angles else np.zeros(1)
+
+        angles_arr = np.concatenate(angles) if angles else np.zeros(1)
         return StepStats(
             loss=loss,
             ortho_loss=ortho_total,

@@ -1,9 +1,11 @@
 """Optimizers: SGD with momentum and Adam on G(1, n), the Euclidean baseline, schedules.
 
-The Grassmann steps are purely functional: they take a point, an ambient
+The Grassmann updates are purely functional: they take a point, an ambient
 gradient, and the previous state, and return the new point and state. Momenta
 live in the tangent space of the current point and are moved by parallel
-translation at every step.
+translation at every step. ``sgdg_update``/``adamg_update`` act on arrays of
+shape (n,) or (n, p), so one call steps every column of a weight matrix;
+``sgdg_step``/``adamg_step`` are their single-point form.
 """
 
 import bisect
@@ -12,10 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold
-from .errors import NumericalError, PreconditionError
+from .errors import DimensionError, NumericalError, PreconditionError
 from .manifold import GrassmannPoint, TangentVector
 
 __all__ = [
+    "OPTIMIZERS",
+    "GRASSMANN_OPTIMIZERS",
+    "default_eta_g",
     "SgdGHyper",
     "AdamGHyper",
     "EuclideanHyper",
@@ -23,6 +28,8 @@ __all__ = [
     "AdamGState",
     "EuclideanSgdState",
     "LrSchedule",
+    "sgdg_update",
+    "adamg_update",
     "sgdg_step",
     "adamg_step",
     "euclidean_sgd_step",
@@ -65,6 +72,15 @@ class AdamGHyper:
                 raise PreconditionError(f"{name} must be in [0, 1), got {b}")
         if self.nu <= 0.0:
             raise PreconditionError(f"nu must be positive, got {self.nu}")
+
+
+GRASSMANN_OPTIMIZERS = ("sgd-g", "adam-g")
+OPTIMIZERS = ("sgd",) + GRASSMANN_OPTIMIZERS
+
+
+def default_eta_g(optimizer: str) -> float:
+    """The Grassmann rate used when none is given: SGD-G's default, else Adam-G's."""
+    return SgdGHyper.eta if optimizer == "sgd-g" else AdamGHyper.eta
 
 
 @dataclass(frozen=True)
@@ -141,72 +157,113 @@ def schedule_lr(schedule: LrSchedule, epoch: int) -> float:
     return schedule.initial * schedule.factor**k
 
 
-def _checked_gradient(g, y: GrassmannPoint) -> np.ndarray:
+def _check_update_inputs(y, g, tau, lr, base):
+    """Shared preconditions of the Grassmann updates; returns ``g`` as a float array."""
     g = np.asarray(g, dtype=np.float64)
+    if g.shape != y.shape or tau.shape != y.shape:
+        raise DimensionError(
+            f"gradient {g.shape} and momentum {tau.shape} must match the point {y.shape}"
+        )
     if not np.isfinite(g).all():
-        raise NumericalError(f"non-finite gradient for a point of dimension {y.dim}")
+        raise NumericalError(f"non-finite gradient for a point of shape {y.shape}")
+    if lr < 0.0:
+        raise PreconditionError(f"learning rate must be nonnegative, got {lr}")
+    if base is not None and not np.array_equal(base, y):
+        raise PreconditionError("momentum state belongs to a different point")
+    manifold.require_unit(y, "point")
     return g
 
 
-def sgdg_step(
-    y: GrassmannPoint, g, state: SgdGState, lr: float
-) -> tuple[GrassmannPoint, SgdGState]:
-    """One SGD-with-momentum step on G(1, n).
+def _projected_clipped(y, g, nu):
+    h = manifold.project_columns(y, g)
+    manifold.require_tangent(y, h, "projected gradient")
+    return manifold.clip_columns(h, nu)
 
+
+def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base=None):
+    """One SGD-with-momentum step on G(1, n), column by column.
+
+    ``y``, ``g`` and ``tau`` are all ``(n,)`` or all ``(n, p)``; the p unit
+    columns of an n-by-p ``y`` are one point on G(1, n)^p and move together.
     Project the ambient gradient, clip its norm at ``nu``, blend with the
-    translated momentum, move by the exponential map, and translate the step
-    itself to the new point::
+    momentum, move by the exponential map, and translate the step itself to
+    the new point::
 
         h  = g - (y^T g) y
         h' = norm_clip(h, nu)
         d  = gamma * tau - lr * h'
         y' = exp_y(d),  tau' = pt_y(d)
+
+    ``base``, when given, is the array the momentum was last left tangent at;
+    it must equal ``y``. Nothing is modified in place. Returns
+    ``(y', tau', |h|)``, the last being the unclipped gradient norms.
     """
-    g = _checked_gradient(g, y)
-    if lr < 0.0:
-        raise PreconditionError(f"learning rate must be nonnegative, got {lr}")
-    if not np.array_equal(state.tau.base.y, y.y):
-        raise PreconditionError("momentum state belongs to a different point")
-    hyper = state.hyper
-    h = manifold.project_tangent(y, g)
-    h_hat = manifold.norm_clip(h, hyper.nu)
-    d = TangentVector(hyper.gamma * state.tau.v - lr * h_hat.v, y)
-    y_new = manifold.exp_map(y, d)
-    tau_new = manifold.parallel_translate_self(y, d)
-    return y_new, SgdGState(tau_new, hyper)
+    g = _check_update_inputs(y, g, tau, lr, base)
+    h_hat, h_norm = _projected_clipped(y, g, hyper.nu)
+    h_hat *= lr
+    d = hyper.gamma * tau
+    d -= h_hat
+    del h_hat
+    manifold.require_tangent(y, d, "step")
+    y_new, tau_new = manifold.geodesic_columns(y, d)
+    manifold.require_unit(y_new, "new point")
+    manifold.require_tangent(y_new, tau_new, "transported momentum")
+    return y_new, tau_new, h_norm
+
+
+def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base=None):
+    """One Adam step on G(1, n) with a single adaptive rate per column.
+
+    Shapes and ``base`` are as in :func:`sgdg_update`; ``v`` holds one second
+    moment per column and ``t`` is the number of steps taken so far. The
+    second moment is the EMA of the clipped gradient's squared norm, so the
+    update direction is never distorted coordinate-wise::
+
+        eta_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)
+        h'    = norm_clip(project(g), nu)
+        m     = beta1 * tau + (1 - beta1) * h'
+        v     = beta2 * v + (1 - beta2) * |h'|^2
+        d     = -eta_t * m / sqrt(v + eps)
+        y'    = exp_y(d),  tau' = pt_y(m; d)
+
+    Returns ``(y', tau', v', |h|)``; the step count becomes ``t + 1``.
+    """
+    g = _check_update_inputs(y, g, tau, lr, base)
+    t = t + 1
+    eta_t = lr * np.sqrt(1.0 - hyper.beta2**t) / (1.0 - hyper.beta1**t)
+    h_hat, h_norm = _projected_clipped(y, g, hyper.nu)
+    v_new = hyper.beta2 * v + (1.0 - hyper.beta2) * np.minimum(h_norm, hyper.nu) ** 2
+    h_hat *= 1.0 - hyper.beta1
+    m = hyper.beta1 * tau
+    m += h_hat
+    del h_hat
+    manifold.require_tangent(y, m, "momentum")
+    d = (-eta_t / np.sqrt(v_new + hyper.epsilon)) * m
+    manifold.require_tangent(y, d, "step")
+    y_new, tau_new = manifold.geodesic_columns(y, d, m)
+    manifold.require_unit(y_new, "new point")
+    manifold.require_tangent(y_new, tau_new, "transported momentum")
+    return y_new, tau_new, v_new, h_norm
+
+
+def sgdg_step(
+    y: GrassmannPoint, g, state: SgdGState, lr: float
+) -> tuple[GrassmannPoint, SgdGState]:
+    """One SGD-G step for a single point; see :func:`sgdg_update`."""
+    y_new, tau_new, _ = sgdg_update(y.y, g, state.tau.v, lr, state.hyper, base=state.tau.base.y)
+    point = GrassmannPoint(y_new)
+    return point, SgdGState(TangentVector(tau_new, point), state.hyper)
 
 
 def adamg_step(
     y: GrassmannPoint, g, state: AdamGState, lr: float
 ) -> tuple[GrassmannPoint, AdamGState]:
-    """One Adam step on G(1, n) with a single adaptive rate per point.
-
-    The second moment ``v`` is the scalar EMA of the clipped gradient's squared
-    norm, so the update direction is never distorted coordinate-wise::
-
-        eta_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)
-        h'    = norm_clip(project(g), nu)
-        m     = beta1 * tau + (1 - beta1) * h'
-        v     = beta2 * v + (1 - beta2) * h'^T h'
-        d     = -eta_t * m / sqrt(v + eps)
-        y'    = exp_y(d),  tau' = pt_y(m; d)
-    """
-    g = _checked_gradient(g, y)
-    if lr < 0.0:
-        raise PreconditionError(f"learning rate must be nonnegative, got {lr}")
-    if not np.array_equal(state.tau.base.y, y.y):
-        raise PreconditionError("momentum state belongs to a different point")
-    hyper = state.hyper
-    t = state.t + 1
-    eta_t = lr * np.sqrt(1.0 - hyper.beta2**t) / (1.0 - hyper.beta1**t)
-    h = manifold.project_tangent(y, g)
-    h_hat = manifold.norm_clip(h, hyper.nu)
-    m = TangentVector(hyper.beta1 * state.tau.v + (1.0 - hyper.beta1) * h_hat.v, y)
-    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * float(h_hat.v @ h_hat.v)
-    d = TangentVector(-eta_t / np.sqrt(v + hyper.epsilon) * m.v, y)
-    y_new = manifold.exp_map(y, d)
-    tau_new = manifold.parallel_translate(y, m, d)
-    return y_new, AdamGState(tau_new, v, t, hyper)
+    """One Adam-G step for a single point; see :func:`adamg_update`."""
+    y_new, tau_new, v_new, _ = adamg_update(
+        y.y, g, state.tau.v, state.v, state.t, lr, state.hyper, base=state.tau.base.y
+    )
+    point = GrassmannPoint(y_new)
+    return point, AdamGState(TangentVector(tau_new, point), float(v_new), state.t + 1, state.hyper)
 
 
 def euclidean_sgd_step(

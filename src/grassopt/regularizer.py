@@ -70,21 +70,26 @@ class LayerColumns:
         return self.Y.shape[1]
 
 
-def ortho_loss(layer: LayerColumns) -> float:
-    """Penalty ``(alpha/2) ||Y^T Y - I||_F^2``; zero iff the columns are orthonormal."""
-    gram = layer.Y.T @ layer.Y
+def ortho_loss(layer: LayerColumns, gram: np.ndarray | None = None) -> float:
+    """Penalty ``(alpha/2) ||Y^T Y - I||_F^2``; zero iff the columns are orthonormal.
+
+    ``gram`` may pass in ``Y^T Y`` when the caller has it already.
+    """
+    if gram is None:
+        gram = layer.Y.T @ layer.Y
     off = gram - np.eye(layer.p)
     return 0.5 * layer.alpha * float(np.sum(off * off))
 
 
-def ortho_grad(layer: LayerColumns) -> np.ndarray:
+def ortho_grad(layer: LayerColumns, gram: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of :func:`ortho_loss`: ``2 alpha Y (Y^T Y - I)``.
 
     For unit-norm columns, column j equals ``2 alpha X_j X_j^T y_j`` where
     ``X_j`` drops column j, so each column's gradient points away from the
-    span of the others.
+    span of the others. ``gram`` is as in :func:`ortho_loss`.
     """
-    gram = layer.Y.T @ layer.Y
+    if gram is None:
+        gram = layer.Y.T @ layer.Y
     return 2.0 * layer.alpha * (layer.Y @ (gram - np.eye(layer.p)))
 
 

@@ -408,9 +408,13 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         if isinstance(layer, BatchNormLayer):
             assert np.array_equal(layer.running_mean, rlayer.running_mean)
             assert np.array_equal(layer.running_var, rlayer.running_var)
-    for s, r in zip(trainer.point_states, restored.point_states):
-        assert np.array_equal(s.tau.v, r.tau.v)
-        assert s.v == r.v and s.t == r.t
+    # Grassmann state is held per layer: one momentum matrix, per-column v, one t.
+    assert len(trainer.layer_states) == len(restored.layer_states) == 2
+    for s, r in zip(trainer.layer_states, restored.layer_states):
+        assert s.layer_index == r.layer_index
+        assert s.tau.tobytes() == r.tau.tobytes()
+        assert s.base.tobytes() == r.base.tobytes()
+        assert s.v.tobytes() == r.v.tobytes() and s.t == r.t == 5
     for s, r in zip(trainer.euclid_states, restored.euclid_states):
         assert np.array_equal(s.velocity, r.velocity)
     assert [tuple(vars(p).values()) for p in trainer.partition.points] == [
