@@ -180,8 +180,8 @@ class GrassmannPoint:
 class TangentVector:
     """A vector tangent at ``base``, i.e. orthogonal to the base representation.
 
-    Tangency is checked with ``assert`` so release runs (``python -O``) trust
-    the constructing operation instead of paying the per-step O(n) check.
+    Tangency is checked with :func:`require_tangent`, which raises
+    :class:`PreconditionError` and also holds under ``python -O``.
     """
 
     v: np.ndarray
@@ -194,9 +194,7 @@ class TangentVector:
             raise DimensionError(
                 f"tangent dimension {v.shape} != base dimension {self.base.y.shape}"
             )
-        assert (
-            abs(float(self.base.y @ v)) <= _TANGENCY_TOL * (1.0 + float(np.linalg.norm(v)))
-        ), "vector is not tangent at its base point"
+        require_tangent(self.base.y, v)
 
     @property
     def dim(self) -> int:

@@ -12,8 +12,10 @@ point ``i`` is the array ``point{i}.tau`` and its Adam-G scalars are entry
 layer; saving slices each layer's momentum matrix into its columns and
 loading puts them back together.
 
-A save writes a temporary file beside the target and renames it over the
-target, so an interrupted save leaves the previous checkpoint in place.
+A save writes a temporary file beside the target, syncs it to disk and
+renames it over the target, so an interrupted save or a crash leaves the
+previous checkpoint in place. A process killed during a save can leave its
+``.<name>.<pid>.tmp`` file behind; nothing reads it.
 """
 
 import contextlib
@@ -81,11 +83,19 @@ def save_checkpoint(path, trainer: Trainer) -> None:
     try:
         with open(tmp, "wb") as fh:
             np.savez(fh, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the rename can be
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    if os.name == "posix":  # make the rename itself durable
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _array(arrays, name, shape):

@@ -168,7 +168,7 @@ def _check_update_inputs(y, g, tau, lr, base):
         raise NumericalError(f"non-finite gradient for a point of shape {y.shape}")
     if lr < 0.0:
         raise PreconditionError(f"learning rate must be nonnegative, got {lr}")
-    if base is not None and not np.array_equal(base, y):
+    if not np.array_equal(base, y):
         raise PreconditionError("momentum state belongs to a different point")
     manifold.require_unit(y, "point")
     return g
@@ -180,7 +180,7 @@ def _projected_clipped(y, g, nu):
     return manifold.clip_columns(h, nu)
 
 
-def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base=None):
+def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
     """One SGD-with-momentum step on G(1, n), column by column.
 
     ``y``, ``g`` and ``tau`` are all ``(n,)`` or all ``(n, p)``; the p unit
@@ -194,8 +194,8 @@ def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base=None):
         d  = gamma * tau - lr * h'
         y' = exp_y(d),  tau' = pt_y(d)
 
-    ``base``, when given, is the array the momentum was last left tangent at;
-    it must equal ``y``. Nothing is modified in place. Returns
+    ``base`` is the array the momentum was last left tangent at; it must
+    equal ``y``, or the state belongs to a different point. Nothing is modified in place. Returns
     ``(y', tau', |h|)``, the last being the unclipped gradient norms.
     """
     g = _check_update_inputs(y, g, tau, lr, base)
@@ -211,7 +211,7 @@ def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base=None):
     return y_new, tau_new, h_norm
 
 
-def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base=None):
+def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
     """One Adam step on G(1, n) with a single adaptive rate per column.
 
     Shapes and ``base`` are as in :func:`sgdg_update`; ``v`` holds one second

@@ -1,6 +1,7 @@
 """The bundled Grassmann step: equivalence with the per-column oracle, atomicity, and checkpoints."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -75,16 +76,29 @@ def test_update_kernels_act_column_by_column():
     g[:, 2] = 0.0  # with zero momentum this column must not move at all
     tau = np.zeros_like(y)
     v = np.zeros(4)
-    bundle_sgd = optim.sgdg_update(y, g, tau, 0.2, optim.SgdGHyper())
-    bundle_adam = optim.adamg_update(y, g, tau, v, 0, 0.05, optim.AdamGHyper())
+    bundle_sgd = optim.sgdg_update(y, g, tau, 0.2, optim.SgdGHyper(), base=y)
+    bundle_adam = optim.adamg_update(y, g, tau, v, 0, 0.05, optim.AdamGHyper(), base=y)
     for j in range(4):
-        col_sgd = optim.sgdg_update(y[:, j], g[:, j], tau[:, j], 0.2, optim.SgdGHyper())
-        col_adam = optim.adamg_update(y[:, j], g[:, j], tau[:, j], v[j], 0, 0.05, optim.AdamGHyper())
+        col_sgd = optim.sgdg_update(y[:, j], g[:, j], tau[:, j], 0.2, optim.SgdGHyper(), base=y[:, j])
+        col_adam = optim.adamg_update(y[:, j], g[:, j], tau[:, j], v[j], 0, 0.05, optim.AdamGHyper(), base=y[:, j])
         for bundle, col in ((bundle_sgd, col_sgd), (bundle_adam, col_adam)):
             for b, c in zip(bundle, col):
                 assert np.max(np.abs(b[..., j] - c)) <= 1e-15
     assert bundle_sgd[0][:, 2].tobytes() == y[:, 2].tobytes()
     assert bundle_adam[0][:, 2].tobytes() == y[:, 2].tobytes()
+
+
+def test_update_kernels_refuse_state_of_another_point():
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal((5, 3))
+    y /= np.linalg.norm(y, axis=0)
+    g, tau = rng.standard_normal((5, 3)), np.zeros((5, 3))
+    other = y.copy()
+    other[:, 1] *= -1.0  # the same subspaces, but not the array the momentum was left at
+    with pytest.raises(PreconditionError, match="different point"):
+        optim.sgdg_update(y, g, tau, 0.1, optim.SgdGHyper(), base=other)
+    with pytest.raises(PreconditionError, match="different point"):
+        optim.adamg_update(y, g, tau, np.zeros(3), 0, 0.1, optim.AdamGHyper(), base=other)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
@@ -222,6 +236,28 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     restored = load_checkpoint(path)
     for a, b in zip(saved, _net_arrays(restored.net)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_save_syncs_before_rename(tmp_path, monkeypatch):
+    trainer, _ = _trained()
+    path = tmp_path / "checkpoint.npz"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(path, trainer)
+    expected = ["fsync file", "replace"] + (["fsync dir"] if os.name == "posix" else [])
+    assert events == expected
+    load_checkpoint(path)
 
 
 def _rewrite(src, dst, **changes):

@@ -31,7 +31,7 @@ def test_point_requires_dimension_two():
 
 def test_tangent_vector_rejects_non_tangent():
     y = _point([1.0, 0.0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionError, match="not tangent"):
         TangentVector(np.array([0.5, 0.5]), y)
 
 
