@@ -1,8 +1,9 @@
 """Finite-difference oracles for Euclidean and Riemannian gradients.
 
 These are the project's independent checks: central differences for flat
-parameters, and directional derivatives along geodesics for points on G(1, n).
-Nothing here shares code with the analytic backward passes it validates.
+parameters, and directional derivatives along geodesics for points on G(1, n),
+given as unit ``(n,)`` arrays. Nothing here shares code with the analytic
+backward passes it validates.
 """
 
 from dataclasses import dataclass
@@ -10,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .errors import NumericalError
-from .manifold import GrassmannPoint, TangentVector
+from .errors import DimensionError, NumericalError
 
 __all__ = ["FdRow", "FdReport", "rel_error", "fd_gradient", "riemannian_fd_check"]
 
@@ -79,39 +79,42 @@ def fd_gradient(f, x, eps: float = 1e-6) -> np.ndarray:
 def riemannian_fd_check(
     f,
     grad,
-    y: GrassmannPoint,
+    y: np.ndarray,
     trials: int = 20,
     step: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> FdReport:
     """Compare a claimed gradient of ``f`` on G(1, n) against geodesic differences.
 
-    For each of ``trials`` random unit tangent directions ``v`` the directional
-    derivative ``(f(exp_y(t v)) - f(exp_y(-t v))) / 2t`` must match
-    ``<project_tangent(y, grad(y)), v>``.
+    For each of ``trials`` random unit tangent directions ``v`` at the unit
+    vector ``y``, the directional derivative
+    ``(f(exp_y(t v)) - f(exp_y(-t v))) / 2t`` must match ``<h, v>``, where
+    ``h = g - (y^T g) y`` is the tangent part of ``g = grad(y)``.
 
     Parameters
     ----------
     f : callable
-        Maps a GrassmannPoint to a scalar.
+        Maps a unit ``(n,)`` array to a scalar.
     grad : callable
-        Maps a GrassmannPoint to the claimed ambient gradient vector.
+        Maps a unit ``(n,)`` array to the claimed ambient gradient vector.
     """
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1:
+        raise DimensionError(f"point must be an (n,) vector, got shape {y.shape}")
+    manifold.require_unit(y)
     rng = rng if rng is not None else np.random.default_rng(0)
-    g = np.asarray(grad(y), dtype=np.float64)
-    projected = manifold.project_tangent(y, g)
+    projected = manifold.project_columns(y, np.asarray(grad(y), dtype=np.float64))
     pairs = []
     for _ in range(trials):
-        v = manifold.project_tangent(y, rng.standard_normal(y.dim))
-        nv = v.norm()
+        v = manifold.project_columns(y, rng.standard_normal(y.shape[0]))
+        nv = float(np.linalg.norm(v))
         if nv < manifold.DEGENERATE_STEP:
             continue
-        v = TangentVector(v.v / nv, y)
-        f_plus = f(manifold.exp_map(y, TangentVector(step * v.v, y)))
-        f_minus = f(manifold.exp_map(y, TangentVector(-step * v.v, y)))
+        v /= nv
+        f_plus = f(manifold.geodesic_columns(y, step * v)[0])
+        f_minus = f(manifold.geodesic_columns(y, -step * v)[0])
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericalError("non-finite function value during geodesic perturbation")
         numeric = (f_plus - f_minus) / (2.0 * step)
-        analytic = manifold.tangent_inner(projected, v)
-        pairs.append((analytic, numeric))
+        pairs.append((float(projected @ v), numeric))
     return _report_from_pairs(pairs)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import optim
 from ..errors import PreconditionError
-from ..manifold import GrassmannPoint, angle_columns, require_unit
+from ..manifold import angle_columns, require_unit
 from ..optim import GRASSMANN_OPTIMIZERS, OPTIMIZERS
 from ..regularizer import LayerColumns, ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
@@ -155,10 +155,6 @@ class Trainer:
 
     def _param(self, ref) -> np.ndarray:
         return self.net.layers[ref.layer_index].params()[ref.name]
-
-    def _read_point(self, ref) -> GrassmannPoint:
-        wm = self.net.layers[ref.layer_index].weight_matrix()
-        return GrassmannPoint(wm[:, ref.column].copy())
 
     def ortho_total(self) -> float:
         """Summed orthogonality penalty over partition-eligible matrices.

@@ -1,10 +1,9 @@
-"""Dense float64 vectors and matrices, plus the linear algebra the other modules consume.
+"""Checked float64 linear algebra: matrix coercion and the SPD solve the regularizer uses.
 
-Vectors are 1-D and matrices 2-D ``numpy.ndarray`` objects in double precision.
-The coercion helpers validate shape and finiteness; the operations validate
-conformance and raise :class:`~grassopt.errors.DimensionError` /
-:class:`~grassopt.errors.NumericalError` instead of propagating numpy's generic
-exceptions.
+Matrices are 2-D ``numpy.ndarray`` objects in double precision. Both helpers
+validate shape and finiteness and raise
+:class:`~grassopt.errors.DimensionError` / :class:`~grassopt.errors.NumericalError`
+instead of propagating numpy's generic exceptions.
 """
 
 import numpy as np
@@ -12,27 +11,7 @@ import scipy.linalg
 
 from .errors import DimensionError, NumericalError
 
-__all__ = [
-    "as_vector",
-    "as_matrix",
-    "dot",
-    "norm",
-    "matmul",
-    "frobenius_norm",
-    "trace",
-    "transpose",
-    "solve_spd",
-]
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce ``data`` to a finite, nonempty 1-D float64 array."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise DimensionError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NumericalError("vector contains NaN or Inf")
-    return v
+__all__ = ["as_matrix", "solve_spd"]
 
 
 def as_matrix(data) -> np.ndarray:
@@ -43,44 +22,6 @@ def as_matrix(data) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericalError("matrix contains NaN or Inf")
     return m
-
-
-def dot(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
-
-
-def norm(a) -> float:
-    a = as_vector(a)
-    return float(np.linalg.norm(a))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def frobenius_norm(a) -> float:
-    a = as_matrix(a)
-    return float(np.linalg.norm(a, "fro"))
-
-
-def trace(a) -> float:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"trace: matrix must be square, got {a.shape}")
-    return float(np.trace(a))
-
-
-def transpose(a) -> np.ndarray:
-    a = as_matrix(a)
-    return np.ascontiguousarray(a.T)
 
 
 def solve_spd(a, b) -> np.ndarray:

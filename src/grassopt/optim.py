@@ -4,8 +4,8 @@ The Grassmann updates are purely functional: they take a point, an ambient
 gradient, and the previous state, and return the new point and state. Momenta
 live in the tangent space of the current point and are moved by parallel
 translation at every step. ``sgdg_update``/``adamg_update`` act on arrays of
-shape (n,) or (n, p), so one call steps every column of a weight matrix;
-``sgdg_step``/``adamg_step`` are their single-point form.
+shape (n,) or (n, p): a single point is an ``(n,)`` unit vector, and one call
+steps every column of an n-by-p weight matrix.
 """
 
 import bisect
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import manifold
 from .errors import DimensionError, NumericalError, PreconditionError
-from .manifold import GrassmannPoint, TangentVector
 
 __all__ = [
     "OPTIMIZERS",
@@ -24,14 +23,10 @@ __all__ = [
     "SgdGHyper",
     "AdamGHyper",
     "EuclideanHyper",
-    "SgdGState",
-    "AdamGState",
     "EuclideanSgdState",
     "LrSchedule",
     "sgdg_update",
     "adamg_update",
-    "sgdg_step",
-    "adamg_step",
     "euclidean_sgd_step",
     "schedule_lr",
 ]
@@ -91,32 +86,6 @@ class EuclideanHyper:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     nesterov: bool = True
-
-
-@dataclass(frozen=True)
-class SgdGState:
-    """Momentum state of one Grassmann point under SGD-G."""
-
-    tau: TangentVector
-    hyper: SgdGHyper = field(default_factory=SgdGHyper)
-
-    @staticmethod
-    def init(y: GrassmannPoint, hyper: SgdGHyper | None = None) -> "SgdGState":
-        return SgdGState(manifold.zero_tangent(y), hyper or SgdGHyper())
-
-
-@dataclass(frozen=True)
-class AdamGState:
-    """Momentum, scalar second moment, and step counter of one point under Adam-G."""
-
-    tau: TangentVector
-    v: float = 0.0
-    t: int = 0
-    hyper: AdamGHyper = field(default_factory=AdamGHyper)
-
-    @staticmethod
-    def init(y: GrassmannPoint, hyper: AdamGHyper | None = None) -> "AdamGState":
-        return AdamGState(manifold.zero_tangent(y), 0.0, 0, hyper or AdamGHyper())
 
 
 @dataclass(frozen=True)
@@ -244,26 +213,6 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
     manifold.require_unit(y_new, "new point")
     manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, v_new, h_norm
-
-
-def sgdg_step(
-    y: GrassmannPoint, g, state: SgdGState, lr: float
-) -> tuple[GrassmannPoint, SgdGState]:
-    """One SGD-G step for a single point; see :func:`sgdg_update`."""
-    y_new, tau_new, _ = sgdg_update(y.y, g, state.tau.v, lr, state.hyper, base=state.tau.base.y)
-    point = GrassmannPoint(y_new)
-    return point, SgdGState(TangentVector(tau_new, point), state.hyper)
-
-
-def adamg_step(
-    y: GrassmannPoint, g, state: AdamGState, lr: float
-) -> tuple[GrassmannPoint, AdamGState]:
-    """One Adam-G step for a single point; see :func:`adamg_update`."""
-    y_new, tau_new, v_new, _ = adamg_update(
-        y.y, g, state.tau.v, state.v, state.t, lr, state.hyper, base=state.tau.base.y
-    )
-    point = GrassmannPoint(y_new)
-    return point, AdamGState(TangentVector(tau_new, point), float(v_new), state.t + 1, state.hyper)
 
 
 def euclidean_sgd_step(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TrainConfig, config_to_ini, load_config
 from .data import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, normalize
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .metrics import MetricsRecord, MetricsWriter
 from .nn import Trainer, build_convnet, build_mlp, save_checkpoint
 from .optim import LrSchedule, schedule_lr
@@ -144,11 +144,17 @@ def run_compare(config_path, overrides, optimizers, runs: int = 5, out_dir: str 
     """Run each optimizer over seeds ``base_seed + i`` and summarize medians.
 
     Returns (summary_csv_text, per_run_rows). The median is the lower order
-    statistic (the 3rd of 5 runs).
+    statistic (the 3rd of 5 runs). Data without a test split (CSV, or IDX
+    without the ``t10k`` files) raises :class:`ValidationError` before any
+    training, since there is no test error to compare.
     """
     if len(optimizers) < 1:
         raise ConfigError("compare needs at least one optimizer name")
     base_cfg = load_config(config_path, overrides)
+    if build_dataset(base_cfg).test_x.shape[0] == 0:
+        raise ValidationError(
+            f"compare needs a test split, and the {base_cfg.dataset!r} data has none"
+        )
     out_dir = out_dir or resolve_out_dir(base_cfg)
     run_rows = []
     summary_rows = []

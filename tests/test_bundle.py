@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from column_oracle import ColumnOracle
-from grassopt import optim
+from grassopt import manifold, optim
 from grassopt.errors import NumericalError, PreconditionError, ValidationError
-from grassopt.manifold import GrassmannPoint
 from grassopt.nn import BatchNormLayer, Trainer, build_convnet, build_mlp, load_checkpoint, save_checkpoint
 from grassopt.nn import training
 from grassopt.regularizer import LayerColumns, ortho_grad, ortho_loss
@@ -103,24 +102,21 @@ def test_update_kernels_refuse_state_of_another_point():
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
 def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
+    # One geodesic kernel call per Grassmann layer, on the whole weight matrix.
     rng = np.random.default_rng(30)
-    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
-    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
-    points = []
-    real_post_init = GrassmannPoint.__post_init__
+    trainer = Trainer(build_mlp(20, (12, 6), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 20)), rng.integers(0, 3, 32)
+    shapes = []
+    real_geodesic = manifold.geodesic_columns
 
-    def counting_post_init(self):
-        points.append(self)
-        real_post_init(self)
+    def recording(y, d, delta=None):
+        shapes.append(y.shape)
+        return real_geodesic(y, d, delta)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-column optimizer step called")
-
-    monkeypatch.setattr(GrassmannPoint, "__post_init__", counting_post_init)
-    monkeypatch.setattr(optim, "sgdg_step", forbidden)
-    monkeypatch.setattr(optim, "adamg_step", forbidden)
+    monkeypatch.setattr(manifold, "geodesic_columns", recording)
     trainer.train_step(x, labels, trainer.eta_g, 0.01)
-    assert points == []
+    assert shapes == [(20, 12), (12, 6)]
+    assert [s.tau.shape for s in trainer.layer_states] == shapes
 
 
 def test_train_step_computes_each_gram_once(monkeypatch):

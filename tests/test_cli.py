@@ -1,10 +1,8 @@
-import math
 import os
 
 import numpy as np
 
 from grassopt import checks, cli, manifold, runner
-from grassopt.manifold import GrassmannPoint
 from grassopt.metrics import METRIC_FIELDS
 from grassopt.nn import load_checkpoint
 
@@ -133,6 +131,38 @@ def test_compare_unknown_optimizer(tmp_path):
     assert code == 1
 
 
+def _csv_without_test_split(tmp_path):
+    """A 60-row, 2-class CSV file: CSV data has a training split only."""
+    rng = np.random.default_rng(0)
+    rows = ["a,b,c,label"]
+    rows += [",".join(f"{v:.17g}" for v in x) + f",{i % 2}"
+             for i, x in enumerate(rng.standard_normal((60, 3)))]
+    path = tmp_path / "train.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return ["--dataset", "csv", "--data_path", str(path), "--classes", "2",
+            "--epochs", "1", "--hidden", "2,1", "--batch_size", "10"]
+
+
+def test_compare_refuses_data_without_test_split(tmp_path, capsys):
+    out = tmp_path / "cmp4"
+    code = cli.main(["compare", "--optimizers", "sgd,sgd-g", "--runs", "1",
+                     "--out_dir", str(out), *_csv_without_test_split(tmp_path)])
+    assert code == 1
+    assert "test split" in capsys.readouterr().err
+    assert not (out / "compare").exists()  # refused before any training
+
+
+def test_train_without_test_split_writes_zero_test_metrics(tmp_path):
+    out = tmp_path / "csv_run"
+    code = cli.main(["train", "--out_dir", str(out), *_csv_without_test_split(tmp_path)])
+    assert code == 0
+    lines = open(out / "metrics.csv").read().splitlines()
+    test_columns = [METRIC_FIELDS.index("test_loss"), METRIC_FIELDS.index("test_acc")]
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert [float(fields[i]) for i in test_columns] == [0.0, 0.0]
+
+
 def test_check_command_passes():
     assert cli.main(["check"]) == 0
 
@@ -145,27 +175,20 @@ def test_check_reports_per_suite_counts(capsys):
     assert "gradcheck:" in text
 
 
-def test_check_detects_faulty_exp_map(monkeypatch):
-    # Fault injection: exp_map that skips renormalization and seeds drift must
-    # trip the unit-norm property.
-    real_exp = manifold.exp_map
+def test_check_detects_faulty_geodesic(monkeypatch):
+    # Fault injection: a geodesic kernel whose points drift off the unit sphere
+    # must trip the unit-norm property.
+    real_geodesic = manifold.geodesic_columns
 
-    def drifting_exp(y, h):
-        nh = h.norm()
-        if nh < manifold.DEGENERATE_STEP:
-            return y
-        out = y.y * math.cos(nh) + h.v * (math.sin(nh) / nh)
-        out = out * (1.0 + 1e-6)  # drift, no renormalization
-        point = GrassmannPoint.__new__(GrassmannPoint)
-        object.__setattr__(point, "y", out)
-        return point
+    def drifting_geodesic(y, d, delta=None):
+        y_new, moved = real_geodesic(y, d, delta)
+        return y_new * (1.0 + 1e-6), moved
 
-    monkeypatch.setattr(manifold, "exp_map", drifting_exp)
+    monkeypatch.setattr(manifold, "geodesic_columns", drifting_geodesic)
     results = checks.run_manifold_suite(seed=0, instances=50, dims=(8,))
     by_name = {r.name: r for r in results}
     assert not by_name["unit_norm_closure"].passed
     assert by_name["unit_norm_closure"].worst > 1e-12
-    monkeypatch.setattr(manifold, "exp_map", real_exp)
 
 
 def test_check_failure_exit_code(monkeypatch):

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from grassopt import checks, manifold
-from grassopt.errors import NumericalError
+from grassopt.errors import DimensionError, NumericalError, PreconditionError
 from grassopt.gradcheck import FdReport, fd_gradient, rel_error, riemannian_fd_check
-from grassopt.manifold import GrassmannPoint
+
+
+def _unit(n, rng):
+    y = rng.standard_normal(n)
+    return y / np.linalg.norm(y)
 
 
 def test_rel_error_definition():
@@ -35,10 +39,10 @@ def test_riemannian_check_quadratic_objective():
     n = 16
     b = rng.standard_normal((n, n))
     a = b + b.T
-    y = GrassmannPoint.random(n, rng)
+    y = _unit(n, rng)
     report = riemannian_fd_check(
-        lambda pt: float(pt.y @ a @ pt.y),
-        lambda pt: 2.0 * (a @ pt.y),
+        lambda pt: float(pt @ a @ pt),
+        lambda pt: 2.0 * (a @ pt),
         y,
         trials=100,
         rng=rng,
@@ -52,10 +56,10 @@ def test_riemannian_check_flags_wrong_gradient():
     n = 8
     b = rng.standard_normal((n, n))
     a = b + b.T
-    y = GrassmannPoint.random(n, rng)
+    y = _unit(n, rng)
     report = riemannian_fd_check(
-        lambda pt: float(pt.y @ a @ pt.y),
-        lambda pt: 3.1 * (a @ pt.y),  # wrong scale
+        lambda pt: float(pt @ a @ pt),
+        lambda pt: 3.1 * (a @ pt),  # wrong scale
         y,
         trials=20,
         rng=rng,
@@ -68,32 +72,38 @@ def test_riemannian_check_orthogonal_direction_derivative_zero():
     # geodesics in directions orthogonal to c.
     rng = np.random.default_rng(3)
     n = 6
-    y = GrassmannPoint.random(n, rng)
-    c = manifold.project_tangent(y, rng.standard_normal(n)).v
+    y = _unit(n, rng)
+    c = manifold.project_columns(y, rng.standard_normal(n))
     c /= np.linalg.norm(c)
 
     def f(pt):
-        return float(c @ pt.y) ** 2
+        return float(c @ pt) ** 2
 
-    v = manifold.project_tangent(y, rng.standard_normal(n))
-    v_perp_c = v.v - float(c @ v.v) * c  # tangent at y and orthogonal to c
+    v = manifold.project_columns(y, rng.standard_normal(n))
+    v_perp_c = v - float(c @ v) * c  # tangent at y and orthogonal to c
     v_perp_c /= np.linalg.norm(v_perp_c)
+    manifold.require_tangent(y, v_perp_c)
     t = 1e-6
-    step = manifold.TangentVector(t * v_perp_c, y)
-    numeric = (f(manifold.exp_map(y, step)) - f(manifold.exp_map(y, manifold.TangentVector(-t * v_perp_c, y)))) / (2 * t)
+    y_plus, _ = manifold.geodesic_columns(y, t * v_perp_c)
+    y_minus, _ = manifold.geodesic_columns(y, -t * v_perp_c)
+    numeric = (f(y_plus) - f(y_minus)) / (2 * t)
     assert abs(numeric) < 1e-9
-    analytic = manifold.tangent_inner(
-        manifold.project_tangent(y, 2.0 * float(c @ y.y) * c),
-        manifold.TangentVector(v_perp_c, y),
-    )
+    analytic = float(manifold.project_columns(y, 2.0 * float(c @ y) * c) @ v_perp_c)
     assert abs(analytic) < 1e-12
+
+
+def test_riemannian_check_requires_a_unit_vector():
+    with pytest.raises(PreconditionError):
+        riemannian_fd_check(lambda pt: 0.0, lambda pt: np.zeros(2), np.array([1.0, 1.0]))
+    with pytest.raises(DimensionError):
+        riemannian_fd_check(lambda pt: 0.0, lambda pt: np.zeros((2, 1)), np.array([[1.0], [0.0]]))
 
 
 def test_report_format_contains_rows_and_worst():
     rng = np.random.default_rng(4)
-    y = GrassmannPoint.random(5, rng)
+    y = _unit(5, rng)
     report = riemannian_fd_check(
-        lambda pt: float(pt.y[0]) ** 2, lambda pt: np.eye(5)[0] * 2 * pt.y[0], y,
+        lambda pt: float(pt[0]) ** 2, lambda pt: np.eye(5)[0] * 2 * pt[0], y,
         trials=3, rng=rng,
     )
     text = report.format()
