@@ -180,18 +180,10 @@ class _ColumnObjective:
         self.ref = ref
         self.batch_x = batch_x
         self.batch_y = batch_y
-        self.wname = trainer._weight_name(ref.layer_index)
+        self.wname = trainer.net.layers[ref.layer_index].weight_name
 
     def _matrix(self):
         return self.trainer.net.layers[self.ref.layer_index].weight_matrix()
-
-    def _penalty(self):
-        total = 0.0
-        for k in self.trainer.partition.grassmann_layers:
-            wm = self.trainer.net.layers[k].weight_matrix()
-            cols = wm / np.linalg.norm(wm, axis=0)
-            total += regularizer.ortho_loss(LayerColumns(cols, self.trainer.alpha))
-        return total
 
     def f(self, y: np.ndarray) -> float:
         wm = self._matrix()
@@ -200,7 +192,7 @@ class _ColumnObjective:
         try:
             logits, _ = self.trainer.net.forward(self.batch_x, training=True)
             loss, _ = softmax_ce(logits, self.batch_y)
-            return loss + self._penalty()
+            return loss + self.trainer.ortho_total()
         finally:
             wm[:, self.ref.column] = saved
 

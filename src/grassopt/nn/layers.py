@@ -1,5 +1,10 @@
 """Layer primitives with manual forward and backward passes.
 
+Activations from the first convolution up to ``FlattenLayer`` are
+channels-last, (m, h, w, c), so batch normalization and ReLU always see the
+unit axis last. ``FlattenLayer`` is the one place that knows the layout: it
+hands the classifier features in (c, h, w) order.
+
 Every layer follows the same protocol: ``forward(x, training)`` returns
 ``(out, cache)`` without mutating any state, ``backward(dout, cache)`` returns
 ``(dx, grads)`` where ``grads`` maps parameter names to arrays, and
@@ -25,6 +30,8 @@ __all__ = [
 
 class DenseLayer:
     """Fully connected layer ``x @ W (+ bias)``; bias is omitted when feeding BN."""
+
+    weight_name = "W"
 
     def __init__(self, weight, bias=None):
         self.W = np.asarray(weight, dtype=np.float64)
@@ -68,12 +75,14 @@ class DenseLayer:
 
 
 class ConvLayer:
-    """2-D convolution over NCHW inputs, filters stored as (kh, kw, c_in, c_out).
+    """2-D convolution over NHWC inputs, filters stored as (kh, kw, c_in, c_out).
 
-    The filter bank unrolled to a (kh*kw*c_in, c_out) matrix is the layer's
-    weight matrix for partitioning purposes: each output channel is one
-    column.
+    Input and output are channels-last, (m, h, w, c). The filter bank unrolled
+    to a (kh*kw*c_in, c_out) matrix is the layer's weight matrix for
+    partitioning purposes: each output channel is one column.
     """
+
+    weight_name = "filters"
 
     def __init__(self, filters, stride=1, padding=0):
         self.filters = np.ascontiguousarray(filters, dtype=np.float64)
@@ -91,59 +100,47 @@ class ConvLayer:
     def params(self) -> dict:
         return {"filters": self.filters}
 
-    def _out_hw(self, h, w):
-        kh, kw = self.filters.shape[:2]
-        ho = (h + 2 * self.padding - kh) // self.stride + 1
-        wo = (w + 2 * self.padding - kw) // self.stride + 1
+    def forward(self, x, training=False):
+        if x.ndim != 4 or x.shape[3] != self.filters.shape[2]:
+            raise DimensionError(f"conv input shape {x.shape} incompatible with filters {self.filters.shape}")
+        m, h, w, cin = x.shape
+        kh, kw, _, cout = self.filters.shape
+        pad, s = self.padding, self.stride
+        ho = (h + 2 * pad - kh) // s + 1
+        wo = (w + 2 * pad - kw) // s + 1
         if ho < 1 or wo < 1:
             raise DimensionError("convolution output would be empty")
-        return ho, wo
-
-    def forward(self, x, training=False):
-        if x.ndim != 4 or x.shape[1] != self.filters.shape[2]:
-            raise DimensionError(f"conv input shape {x.shape} incompatible with filters {self.filters.shape}")
-        m, cin, h, w = x.shape
-        kh, kw, _, cout = self.filters.shape
-        ho, wo = self._out_hw(h, w)
-        pad = self.padding
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        cols = np.empty((m, ho, wo, kh, kw, cin))
-        s = self.stride
-        for di in range(kh):
-            for dj in range(kw):
-                patch = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
-                cols[:, :, :, di, dj, :] = patch.transpose(0, 2, 3, 1)
-        cols2 = cols.reshape(m * ho * wo, kh * kw * cin)
-        out = cols2 @ self.weight_matrix()
-        out = out.reshape(m, ho, wo, cout).transpose(0, 3, 1, 2)
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+        # (m, ho, wo, kh, kw, c_in) windows, one im2col row per output pixel
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
+        cols2 = windows[:, : s * ho : s, : s * wo : s, 0].reshape(m * ho * wo, kh * kw * cin)
+        out = (cols2 @ self.weight_matrix()).reshape(m, ho, wo, cout)
         return out, (cols2, x.shape)
 
     def backward(self, dout, cache):
-        cols2, x_shape = cache
-        m, cin, h, w = x_shape
-        kh, kw, _, cout = self.filters.shape
-        ho, wo = self._out_hw(h, w)
-        dmat = dout.transpose(0, 2, 3, 1).reshape(m * ho * wo, cout)
+        cols2, (m, h, w, cin) = cache
+        _, ho, wo, cout = dout.shape
+        kh, kw = self.filters.shape[:2]
+        dmat = dout.reshape(m * ho * wo, cout)
         dw = (cols2.T @ dmat).reshape(self.filters.shape)
         dcols = (dmat @ self.weight_matrix().T).reshape(m, ho, wo, kh, kw, cin)
-        pad = self.padding
-        s = self.stride
-        dxp = np.zeros((m, cin, h + 2 * pad, w + 2 * pad))
+        pad, s = self.padding, self.stride
+        dxp = np.zeros((m, h + 2 * pad, w + 2 * pad, cin))
         for di in range(kh):
             for dj in range(kw):
-                dxp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += dcols[
-                    :, :, :, di, dj, :
-                ].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+                dxp[:, di : di + s * ho : s, dj : dj + s * wo : s] += dcols[:, :, :, di, dj]
+        dx = dxp[:, pad : pad + h, pad : pad + w] if pad else dxp
         return dx, {"filters": dw}
 
 
 class BatchNormLayer:
     """Batch normalization with per-unit trainable offset and (optionally frozen) scale.
 
-    Train mode normalizes by the mini-batch mean and biased variance; eval mode
-    uses running statistics maintained as an exponential moving average with
-    the unbiased variance correction. 4-D inputs are normalized per channel.
+    The unit axis is the last one: a 2-D (m, units) batch is normalized per
+    column, and a channels-last (m, h, w, c) batch per channel, over its
+    m*h*w rows. Train mode normalizes by the mini-batch mean and biased
+    variance; eval mode uses running statistics maintained as an exponential
+    moving average with the unbiased variance correction.
     """
 
     def __init__(self, units, momentum_stats=0.1, eps_bn=1e-5, scale_trainable=True):
@@ -166,27 +163,10 @@ class BatchNormLayer:
             out["scale"] = self.scale
         return out
 
-    def _flatten(self, x):
-        if x.ndim == 2:
-            if x.shape[1] != self.units:
-                raise DimensionError(f"BN expects {self.units} units, got input {x.shape}")
-            return x, None
-        if x.ndim == 4:
-            if x.shape[1] != self.units:
-                raise DimensionError(f"BN expects {self.units} channels, got input {x.shape}")
-            m, c, h, w = x.shape
-            return x.transpose(0, 2, 3, 1).reshape(m * h * w, c), (m, c, h, w)
-        raise DimensionError(f"BN input must be 2-D or 4-D, got shape {x.shape}")
-
-    @staticmethod
-    def _restore(x2, shape):
-        if shape is None:
-            return x2
-        m, c, h, w = shape
-        return x2.reshape(m, h, w, c).transpose(0, 3, 1, 2)
-
     def forward(self, x, training=False):
-        x2, shape = self._flatten(x)
+        if x.ndim < 2 or x.shape[-1] != self.units:
+            raise DimensionError(f"BN expects {self.units} units on the last axis, got input {x.shape}")
+        x2 = x.reshape(-1, self.units)
         if training:
             if x2.shape[0] < 2:
                 raise PreconditionError(
@@ -199,36 +179,37 @@ class BatchNormLayer:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps_bn)
         xhat = (x2 - mean) * inv_std
-        out = self._restore(self.scale * xhat + self.offset, shape)
-        cache = (xhat, inv_std, mean, var, x2.shape[0], shape, training)
+        out = (self.scale * xhat + self.offset).reshape(x.shape)
+        cache = (xhat, inv_std, mean, var, training)
         return out, cache
 
     def update_running(self, cache):
         """Fold the cached batch statistics into the running averages."""
-        _, _, mean, var, rows, _, training = cache
+        xhat, _, mean, var, training = cache
         if not training:
             return
-        unbiased = var * rows / (rows - 1) if rows > 1 else var
+        rows = xhat.shape[0]
+        unbiased = var * rows / (rows - 1)
         w = self.momentum_stats
         self.running_mean = (1.0 - w) * self.running_mean + w * mean
         self.running_var = (1.0 - w) * self.running_var + w * unbiased
 
     def backward(self, dout, cache):
-        xhat, inv_std, _, _, rows, shape, training = cache
+        xhat, inv_std, _, _, training = cache
         if not training:
             raise PreconditionError("BN backward requires a train-mode cache")
-        dout2, _ = self._flatten(dout)
+        dout2 = dout.reshape(xhat.shape)
         dbeta = dout2.sum(axis=0)
         dgamma = (dout2 * xhat).sum(axis=0)
         dxhat = dout2 * self.scale
-        m = float(rows)
+        m = float(xhat.shape[0])
         dx2 = (inv_std / m) * (
             m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
         )
         grads = {"offset": dbeta}
         if self.scale_trainable:
             grads["scale"] = dgamma
-        return self._restore(dx2, shape), grads
+        return dx2.reshape(dout.shape), grads
 
 
 class ReluLayer:
@@ -245,16 +226,21 @@ class ReluLayer:
 
 
 class FlattenLayer:
-    """Collapse all non-batch axes, for conv-to-dense transitions."""
+    """Channels-last (m, h, w, c) maps to (m, c*h*w) features in (c, h, w) order.
+
+    This is the only layer that knows the layout: the classifier's rows, and
+    so its checkpointed weights, follow the channel-major order.
+    """
 
     def params(self) -> dict:
         return {}
 
     def forward(self, x, training=False):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1), x.shape
 
     def backward(self, dout, cache):
-        return dout.reshape(cache), {}
+        m, h, w, c = cache
+        return dout.reshape(m, c, h, w).transpose(0, 2, 3, 1), {}
 
 
 def softmax_ce(logits, labels):

@@ -124,14 +124,13 @@ def partition_parameters(net: Network) -> Partition:
     layers = net.layers
     for k, layer in enumerate(layers):
         if isinstance(layer, (DenseLayer, ConvLayer)):
-            wname = "W" if isinstance(layer, DenseLayer) else "filters"
             wm = layer.weight_matrix()
             feeds_bn = k + 1 < len(layers) and isinstance(layers[k + 1], BatchNormLayer)
             if feeds_bn and wm.shape[0] > wm.shape[1]:
                 gmats.append(k)
                 points.extend(PointRef(k, j, wm.shape[0]) for j in range(wm.shape[1]))
             else:
-                euclid.append(EuclideanRef(k, wname, "weight"))
+                euclid.append(EuclideanRef(k, layer.weight_name, "weight"))
             if isinstance(layer, DenseLayer) and layer.bias is not None:
                 euclid.append(EuclideanRef(k, "bias", "bias"))
         elif isinstance(layer, BatchNormLayer):
@@ -206,7 +205,11 @@ def build_convnet(
     bn_eps=1e-5,
     bn_momentum=0.1,
 ):
-    """Two conv-BN-ReLU blocks (second one stride 2) and a linear classifier."""
+    """Two conv-BN-ReLU blocks (second one stride 2) and a linear classifier.
+
+    ``input_shape`` is (c, h, w); the network's input batches are
+    channels-last, (m, h, w, c).
+    """
     c, h, w = (int(v) for v in input_shape)
     c1, c2 = (int(v) for v in channels)
     layers = [

@@ -133,7 +133,7 @@ class Trainer:
         if optimizer == "sgd":
             # Baseline: every parameter is Euclidean, including BN-feeding matrices.
             extra = tuple(
-                EuclideanRef(k, self._weight_name(k), "weight") for k in full.grassmann_layers
+                EuclideanRef(k, net.layers[k].weight_name, "weight") for k in full.grassmann_layers
             )
             self.partition = Partition((), full.euclidean + extra, ())
             self.ortho_layers = full.grassmann_layers  # reported, not optimized
@@ -148,10 +148,6 @@ class Trainer:
             optim.EuclideanSgdState.init(self._param(ref), self.euclid_hyper)
             for ref in self.partition.euclidean
         ]
-
-    def _weight_name(self, layer_index: int) -> str:
-        layer = self.net.layers[layer_index]
-        return "W" if hasattr(layer, "W") else "filters"
 
     def _param(self, ref) -> np.ndarray:
         return self.net.layers[ref.layer_index].params()[ref.name]
@@ -179,7 +175,7 @@ class Trainer:
                 lc = LayerColumns(net.layers[k].weight_matrix(), self.alpha)
                 gram = lc.Y.T @ lc.Y
                 ortho_total += ortho_loss(lc, gram)
-                gname = self._weight_name(k)
+                gname = net.layers[k].weight_name
                 grads[k][gname] = grads[k][gname] + ortho_grad(lc, gram).reshape(grads[k][gname].shape)
 
         # Compute (and check) every update first; write only once all succeeded.
@@ -190,7 +186,7 @@ class Trainer:
         for state in self.layer_states:
             k = state.layer_index
             wm = net.layers[k].weight_matrix()
-            g = grads[k][self._weight_name(k)].reshape(wm.shape)
+            g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
             if self.optimizer == "sgd-g":
                 y_new, tau_new, h_norm = optim.sgdg_update(
                     wm, g, state.tau, lr_g, self.sgdg_hyper, base=state.base

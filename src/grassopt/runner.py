@@ -55,9 +55,11 @@ def build_model(cfg: TrainConfig, ds: Dataset, rng: np.random.Generator):
 
 
 def _features_for(cfg: TrainConfig, x: np.ndarray) -> np.ndarray:
-    if cfg.arch == "mlp" and x.ndim > 2:
-        return x.reshape(x.shape[0], -1)
-    return x
+    """Network input: flat rows for the MLP, channels-last (m, h, w, c) images for the convnet."""
+    if cfg.arch == "mlp":
+        return x.reshape(x.shape[0], -1) if x.ndim > 2 else x
+    # A view when c == 1; otherwise one copy per run.
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
 def resolve_out_dir(cfg: TrainConfig) -> str:
@@ -78,11 +80,10 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
         fh.write(config_to_ini(cfg))
 
     ds = build_dataset(cfg)
-    train_x = _features_for(cfg, ds.train_x)
-    test_x = _features_for(cfg, ds.test_x)
-
     rng = np.random.default_rng(cfg.seed)
     net = build_model(cfg, ds, rng)
+    train_x = _features_for(cfg, ds.train_x)
+    test_x = _features_for(cfg, ds.test_x)
     trainer = Trainer(
         net, cfg.optimizer, rng=rng,
         eta_e=cfg.eta_e, eta_g=cfg.eta_g, gamma=cfg.gamma, beta1=cfg.beta1, beta2=cfg.beta2,

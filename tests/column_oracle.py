@@ -78,11 +78,11 @@ class ColumnOracle:
         if tr.alpha > 0:
             for k in tr.partition.grassmann_layers:
                 lc = LayerColumns(net.layers[k].weight_matrix(), tr.alpha)
-                gname = tr._weight_name(k)
+                gname = net.layers[k].weight_name
                 grads[k][gname] = grads[k][gname] + ortho_grad(lc).reshape(grads[k][gname].shape)
         for i, ref in enumerate(tr.partition.points):
             wm = net.layers[ref.layer_index].weight_matrix()
-            g = grads[ref.layer_index][tr._weight_name(ref.layer_index)].reshape(wm.shape)
+            g = grads[ref.layer_index][net.layers[ref.layer_index].weight_name].reshape(wm.shape)
             y = wm[:, ref.column].copy()
             if tr.optimizer == "sgd-g":
                 y_new, self.points[i] = sgdg_column(y, g[:, ref.column], self.points[i], lr_g, tr.sgdg_hyper)

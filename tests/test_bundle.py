@@ -29,7 +29,7 @@ def _convnet(rng):
 def _batch(build, rng):
     if build is _mlp:
         return rng.standard_normal((16, 20)), rng.integers(0, 3, 16)
-    return rng.standard_normal((8, 1, 6, 6)), rng.integers(0, 3, 8)
+    return rng.standard_normal((8, 6, 6, 1)), rng.integers(0, 3, 8)
 
 
 def _net_arrays(net):

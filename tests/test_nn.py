@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassopt.errors import PreconditionError
+from grassopt.errors import DimensionError, PreconditionError
 from grassopt.nn import (
     BatchNormLayer,
     ConvLayer,
@@ -141,6 +141,43 @@ def test_bn_running_stats_updated_only_on_request():
     assert bn.running_var == pytest.approx(0.9 * np.ones(2) + 0.1 * unbiased, rel=1e-12)
 
 
+def test_bn_channels_last_equals_bn_of_rows():
+    # A (m, h, w, c) batch is normalized per channel over its m*h*w rows.
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((4, 3, 5, 6)) * 2.0 + 0.5
+    dout = rng.standard_normal(x.shape)
+    image, rows = BatchNormLayer(6), BatchNormLayer(6)
+    image.scale[:] = rows.scale[:] = rng.uniform(0.5, 2.0, 6)
+    image.offset[:] = rows.offset[:] = rng.standard_normal(6)
+
+    out4, cache4 = image.forward(x, training=True)
+    out2, cache2 = rows.forward(x.reshape(-1, 6), training=True)
+    assert out4.shape == x.shape
+    assert out4.reshape(-1, 6).tobytes() == out2.tobytes()
+    dx4, grads4 = image.backward(dout, cache4)
+    dx2, grads2 = rows.backward(dout.reshape(-1, 6), cache2)
+    assert dx4.shape == x.shape
+    assert dx4.reshape(-1, 6).tobytes() == dx2.tobytes()
+    assert grads4.keys() == grads2.keys()
+    for name in grads4:
+        assert grads4[name].tobytes() == grads2[name].tobytes(), name
+    image.update_running(cache4)
+    rows.update_running(cache2)
+    assert image.running_mean.tobytes() == rows.running_mean.tobytes()
+    assert image.running_var.tobytes() == rows.running_var.tobytes()
+    eval4, _ = image.forward(x, training=False)
+    eval2, _ = rows.forward(x.reshape(-1, 6), training=False)
+    assert eval4.reshape(-1, 6).tobytes() == eval2.tobytes()
+
+
+def test_bn_rejects_wrong_last_axis():
+    bn = BatchNormLayer(3)
+    with pytest.raises(DimensionError):
+        bn.forward(np.zeros((2, 3, 4, 4)), training=True)  # channels-first
+    with pytest.raises(DimensionError):
+        bn.forward(np.zeros((8, 4)), training=True)
+
+
 def test_bn_frozen_scale_stays_one():
     bn = BatchNormLayer(3, scale_trainable=False)
     assert "scale" not in bn.params()
@@ -185,7 +222,7 @@ def test_dense_backward_matches_finite_differences():
 def test_conv_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
     layer = ConvLayer(rng.standard_normal((3, 3, 2, 4)) * 0.5, stride=2, padding=1)
-    x = rng.standard_normal((2, 2, 5, 5))
+    x = rng.standard_normal((2, 5, 5, 2))
     out, cache = layer.forward(x)
     target = rng.standard_normal(out.shape)
 
@@ -209,11 +246,19 @@ def test_conv_weight_matrix_is_unrolled_view():
 
 # ----------------------------------------------------------------- networks
 
-def test_end_to_end_gradients_match_finite_differences():
+def _small_mlp(rng):
+    return build_mlp(6, (4, 3), 3, rng), rng.standard_normal((8, 6))
+
+
+def _small_convnet(rng):
+    return build_convnet((2, 5, 5), 3, rng, channels=(3, 4)), rng.standard_normal((4, 5, 5, 2))
+
+
+@pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
+def test_end_to_end_gradients_match_finite_differences(build):
     rng = np.random.default_rng(9)
-    net = build_mlp(6, (4, 3), 3, rng)
-    x = rng.standard_normal((8, 6))
-    labels = rng.integers(0, 3, 8)
+    net, x = build(rng)
+    labels = rng.integers(0, 3, x.shape[0])
 
     def loss():
         logits, _ = net.forward(x, training=True)
@@ -431,7 +476,7 @@ def test_checkpoint_conv_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     net = build_convnet((1, 6, 6), 2, rng, channels=(3, 4))
     trainer = Trainer(net, "sgd-g", rng=rng)
-    x = rng.standard_normal((6, 1, 6, 6))
+    x = rng.standard_normal((6, 6, 6, 1))
     labels = rng.integers(0, 2, 6)
     trainer.train_step(x, labels, 0.2, 0.01)
     path = tmp_path / "conv.npz"
@@ -441,10 +486,11 @@ def test_checkpoint_conv_round_trip(tmp_path):
 
 
 def test_flatten_round_trip():
+    # Channels-last in, (c, h, w)-ordered features out; backward inverts it.
     rng = np.random.default_rng(24)
     layer = FlattenLayer()
-    x = rng.standard_normal((3, 2, 4, 4))
+    x = rng.standard_normal((3, 4, 5, 2))
     out, cache = layer.forward(x)
-    assert out.shape == (3, 32)
+    assert np.array_equal(out, x.transpose(0, 3, 1, 2).reshape(3, -1))
     dx, _ = layer.backward(out, cache)
     assert np.array_equal(dx, x)
