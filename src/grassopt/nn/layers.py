@@ -8,7 +8,9 @@ hands the classifier features in (c, h, w) order.
 Every layer follows the same protocol: ``forward(x, training)`` returns
 ``(out, cache)`` without mutating any state, ``backward(dout, cache)`` returns
 ``(dx, grads)`` where ``grads`` maps parameter names to arrays, and
-``params()`` lists the trainable arrays. Batch normalization keeps its running
+``params()`` lists the trainable arrays. ``backward(dout, cache,
+input_grad=False)`` returns ``None`` for ``dx``: the network's first layer
+needs only its parameter gradients. Batch normalization keeps its running
 statistics out of ``forward``; the training loop applies them explicitly via
 ``update_running`` so that forward passes stay pure (finite differencing
 depends on this).
@@ -66,12 +68,12 @@ class DenseLayer:
             out = out + self.bias
         return out, x
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, input_grad=True):
         x = cache
         grads = {"W": x.T @ dout}
         if self.bias is not None:
             grads["bias"] = dout.sum(axis=0)
-        return dout @ self.W.T, grads
+        return (dout @ self.W.T if input_grad else None), grads
 
 
 class ConvLayer:
@@ -117,12 +119,14 @@ class ConvLayer:
         out = (cols2 @ self.weight_matrix()).reshape(m, ho, wo, cout)
         return out, (cols2, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, input_grad=True):
         cols2, (m, h, w, cin) = cache
         _, ho, wo, cout = dout.shape
         kh, kw = self.filters.shape[:2]
         dmat = dout.reshape(m * ho * wo, cout)
         dw = (cols2.T @ dmat).reshape(self.filters.shape)
+        if not input_grad:
+            return None, {"filters": dw}
         dcols = (dmat @ self.weight_matrix().T).reshape(m, ho, wo, kh, kw, cin)
         pad, s = self.padding, self.stride
         dxp = np.zeros((m, h + 2 * pad, w + 2 * pad, cin))
@@ -133,6 +137,33 @@ class ConvLayer:
         return dx, {"filters": dw}
 
 
+# Batch statistics are per-unit reductions over rows. With only 8 or 16 units
+# a row is too short for numpy's inner loops, so BN works on a wide view of the
+# (rows, units) batch, (rows / k, k * units), whose rows are about this long.
+_WIDE_ROW = 256
+
+
+def _fold_factor(rows, units):
+    """k for the wide view: the largest divisor of ``rows`` with k * units <= 256.
+
+    Wide batches (128 units or more) keep k = 1. k depends on (rows, units)
+    only, so an (m, h, w, c) batch and its (m*h*w, c) reshape share one view.
+    """
+    if 2 * units >= _WIDE_ROW:
+        return 1
+    return max((k for k in range(1, min(_WIDE_ROW // units, rows) + 1) if rows % k == 0), default=1)
+
+
+def _tile(v, k):
+    """A per-unit vector laid out along a wide row."""
+    return v if k == 1 else np.tile(v, k)
+
+
+def _fold(s, k):
+    """Per-unit totals of a wide row of sums."""
+    return s if k == 1 else s.reshape(k, -1).sum(axis=0)
+
+
 class BatchNormLayer:
     """Batch normalization with per-unit trainable offset and (optionally frozen) scale.
 
@@ -141,6 +172,9 @@ class BatchNormLayer:
     m*h*w rows. Train mode normalizes by the mini-batch mean and biased
     variance; eval mode uses running statistics maintained as an exponential
     moving average with the unbiased variance correction.
+
+    The arithmetic runs on the wide view described at ``_fold_factor``; the
+    cached ``xhat`` has that wide shape.
     """
 
     def __init__(self, units, momentum_stats=0.1, eps_bn=1e-5, scale_trainable=True):
@@ -166,50 +200,60 @@ class BatchNormLayer:
     def forward(self, x, training=False):
         if x.ndim < 2 or x.shape[-1] != self.units:
             raise DimensionError(f"BN expects {self.units} units on the last axis, got input {x.shape}")
-        x2 = x.reshape(-1, self.units)
+        rows = x.size // self.units
+        if training and rows < 2:
+            raise PreconditionError(f"train-mode BN needs at least 2 rows per unit, got {rows}")
+        k = _fold_factor(rows, self.units)
+        xw = x.reshape(rows // k, k * self.units)
         if training:
-            if x2.shape[0] < 2:
-                raise PreconditionError(
-                    f"train-mode BN needs at least 2 rows per unit, got {x2.shape[0]}"
-                )
-            mean = x2.mean(axis=0)
-            var = x2.var(axis=0)
+            mean = _fold(xw.sum(axis=0), k) / rows
+            xhat = xw - _tile(mean, k)
+            var = _fold((xhat * xhat).sum(axis=0), k) / rows
         else:
             mean = self.running_mean
             var = self.running_var
+            xhat = xw - _tile(mean, k)
         inv_std = 1.0 / np.sqrt(var + self.eps_bn)
-        xhat = (x2 - mean) * inv_std
-        out = (self.scale * xhat + self.offset).reshape(x.shape)
+        xhat *= _tile(inv_std, k)
+        out = xhat * _tile(self.scale, k)
+        out += _tile(self.offset, k)
         cache = (xhat, inv_std, mean, var, training)
-        return out, cache
+        return out.reshape(x.shape), cache
 
     def update_running(self, cache):
         """Fold the cached batch statistics into the running averages."""
         xhat, _, mean, var, training = cache
         if not training:
             return
-        rows = xhat.shape[0]
+        rows = xhat.size // self.units
         unbiased = var * rows / (rows - 1)
         w = self.momentum_stats
         self.running_mean = (1.0 - w) * self.running_mean + w * mean
         self.running_var = (1.0 - w) * self.running_var + w * unbiased
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, input_grad=True):
         xhat, inv_std, _, _, training = cache
         if not training:
             raise PreconditionError("BN backward requires a train-mode cache")
-        dout2 = dout.reshape(xhat.shape)
-        dbeta = dout2.sum(axis=0)
-        dgamma = (dout2 * xhat).sum(axis=0)
-        dxhat = dout2 * self.scale
-        m = float(xhat.shape[0])
-        dx2 = (inv_std / m) * (
-            m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        k = xhat.shape[1] // self.units
+        rows = xhat.size // self.units
+        doutw = dout.reshape(xhat.shape)
+        dbeta = _fold(doutw.sum(axis=0), k)
+        dx = np.multiply(doutw, xhat)  # dout * xhat; the buffer then takes dx
+        dgamma = _fold(dx.sum(axis=0), k)
         grads = {"offset": dbeta}
         if self.scale_trainable:
             grads["scale"] = dgamma
-        return dx2.reshape(dout.shape), grads
+        if not input_grad:
+            return None, grads
+        # dxhat = scale * dout, so sum(dxhat) = scale * dbeta and
+        # sum(dxhat * xhat) = scale * dgamma:
+        # dx = scale * inv_std * (dout - dbeta / rows - xhat * dgamma / rows)
+        np.multiply(xhat, _tile(-dgamma / rows, k), out=dx)
+        dx += doutw
+        dx -= _tile(dbeta / rows, k)
+        dx *= _tile(self.scale * inv_std, k)
+        return dx.reshape(dout.shape), grads
 
 
 class ReluLayer:
@@ -221,8 +265,8 @@ class ReluLayer:
     def forward(self, x, training=False):
         return np.maximum(x, 0.0), x
 
-    def backward(self, dout, cache):
-        return dout * (cache > 0), {}
+    def backward(self, dout, cache, input_grad=True):
+        return (dout * (cache > 0) if input_grad else None), {}
 
 
 class FlattenLayer:
@@ -238,9 +282,9 @@ class FlattenLayer:
     def forward(self, x, training=False):
         return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, input_grad=True):
         m, h, w, c = cache
-        return dout.reshape(m, c, h, w).transpose(0, 2, 3, 1), {}
+        return (dout.reshape(m, c, h, w).transpose(0, 2, 3, 1) if input_grad else None), {}
 
 
 def softmax_ce(logits, labels):

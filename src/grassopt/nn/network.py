@@ -74,11 +74,14 @@ class Network:
         return out, caches
 
     def backward(self, dlogits, caches):
-        """Backpropagate from the logits gradient; returns per-layer grad dicts."""
+        """Backpropagate from the logits gradient; returns per-layer grad dicts.
+
+        The first layer's input gradient is not computed: nothing uses it.
+        """
         grads = [None] * len(self.layers)
         dx = dlogits
         for k in range(len(self.layers) - 1, -1, -1):
-            dx, grads[k] = self.layers[k].backward(dx, caches[k])
+            dx, grads[k] = self.layers[k].backward(dx, caches[k], input_grad=k > 0)
         return grads
 
     def loss_and_grads(self, x, labels, training=True):

@@ -18,6 +18,8 @@ from grassopt.nn import (
 )
 from grassopt.nn.layers import FlattenLayer
 
+import bn_oracle
+
 
 def _vector_rel_error(analytic, numeric):
     scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
@@ -170,6 +172,71 @@ def test_bn_channels_last_equals_bn_of_rows():
     assert eval4.reshape(-1, 6).tobytes() == eval2.tobytes()
 
 
+@pytest.mark.parametrize(
+    "shape, wide",
+    [
+        ((32, 28, 28, 8), (784, 256)),
+        ((32, 14, 14, 16), (392, 256)),
+        ((256, 28, 28, 8), (6272, 256)),
+        ((32, 256), (32, 256)),
+        ((32, 128), (32, 128)),
+        ((257, 8), (257, 8)),  # 257 is prime: no wider view
+        ((2, 8), (1, 16)),  # the 2-row minimum
+    ],
+    ids=lambda v: "x".join(map(str, v)),
+)
+def test_bn_matches_row_oracle(shape, wide):
+    rng = np.random.default_rng(26)
+    units = shape[-1]
+    x = rng.standard_normal(shape) * 3.0 + 1.5
+    dout = rng.standard_normal(shape)
+    bn, ref = BatchNormLayer(units), BatchNormLayer(units)
+    bn.scale[:] = ref.scale[:] = rng.uniform(0.5, 2.0, units)
+    bn.offset[:] = ref.offset[:] = rng.standard_normal(units)
+
+    out, cache = bn.forward(x, training=True)
+    ref_out, ref_cache = bn_oracle.forward(ref, x, training=True)
+    assert cache[0].shape == wide
+    assert out.shape == x.shape
+    assert _vector_rel_error(out, ref_out) < 1e-12
+    dx, grads = bn.backward(dout, cache)
+    ref_dx, ref_grads = bn_oracle.backward(ref, dout, ref_cache)
+    assert dx.shape == x.shape
+    assert _vector_rel_error(dx, ref_dx) < 1e-12
+    for name in ("offset", "scale"):
+        assert _vector_rel_error(grads[name], ref_grads[name]) < 1e-12, name
+    bn.update_running(cache)
+    bn_oracle.update_running(ref, ref_cache)
+    assert _vector_rel_error(bn.running_mean, ref.running_mean) < 1e-12
+    assert _vector_rel_error(bn.running_var, ref.running_var) < 1e-12
+    # eval mode, from the running statistics just folded in
+    bn.running_mean, bn.running_var = ref.running_mean.copy(), ref.running_var.copy()
+    eval_out, _ = bn.forward(x, training=False)
+    ref_eval, _ = bn_oracle.forward(ref, x, training=False)
+    assert _vector_rel_error(eval_out, ref_eval) < 1e-12
+
+
+def test_bn_rejects_single_image_pixel_in_train_mode_only():
+    bn = BatchNormLayer(8)
+    with pytest.raises(PreconditionError):
+        bn.forward(np.ones((1, 1, 1, 8)), training=True)
+    out, _ = bn.forward(np.ones((1, 1, 1, 8)), training=False)
+    assert out.shape == (1, 1, 1, 8)
+
+
+def test_bn_input_grad_off_keeps_parameter_gradients():
+    rng = np.random.default_rng(27)
+    bn = BatchNormLayer(8)
+    x = rng.standard_normal((4, 6, 6, 8))
+    dout = rng.standard_normal(x.shape)
+    _, cache = bn.forward(x, training=True)
+    _, full = bn.backward(dout, cache)
+    dx, grads = bn.backward(dout, cache, input_grad=False)
+    assert dx is None
+    for name in full:
+        assert grads[name].tobytes() == full[name].tobytes(), name
+
+
 def test_bn_rejects_wrong_last_axis():
     bn = BatchNormLayer(3)
     with pytest.raises(DimensionError):
@@ -270,6 +337,53 @@ def test_end_to_end_gradients_match_finite_differences(build):
         for name, param in layer.params().items():
             numeric = _fd_loss_gradient(loss, param, eps=1e-5)
             assert _vector_rel_error(grads[k][name], numeric) < 1e-4, f"layer {k} {name}"
+
+
+def _state_bytes(net):
+    out = []
+    for layer in net.layers:
+        out += [p.tobytes() for p in layer.params().values()]
+        if isinstance(layer, BatchNormLayer):
+            out += [layer.running_mean.tobytes(), layer.running_var.tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_network_forward_is_pure(build, training):
+    rng = np.random.default_rng(28)
+    net, x = build(rng)
+    for layer in net.layers:  # running statistics away from their initial values
+        if isinstance(layer, BatchNormLayer):
+            layer.running_mean = rng.standard_normal(layer.units)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.units)
+    before = _state_bytes(net)
+    first, _ = net.forward(x, training=training)
+    second, _ = net.forward(x, training=training)
+    assert _state_bytes(net) == before
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
+def test_network_backward_skips_only_first_input_gradient(build):
+    # Network.backward asks layer 0 for its parameter gradients alone; they
+    # equal those of a full backward pass, and so do all other layers'.
+    rng = np.random.default_rng(29)
+    net, x = build(rng)
+    labels = rng.integers(0, 3, x.shape[0])
+    logits, caches = net.forward(x, training=True)
+    _, dlogits = softmax_ce(logits, labels)
+    grads = net.backward(dlogits, caches)
+    dx = dlogits
+    for k in range(len(net.layers) - 1, -1, -1):
+        dout = dx
+        dx, full = net.layers[k].backward(dout, caches[k])
+        assert grads[k].keys() == full.keys()
+        for name in full:
+            assert grads[k][name].tobytes() == full[name].tobytes(), f"layer {k} {name}"
+    assert dx.shape == x.shape  # a direct call still returns the input gradient
+    skipped, _ = net.layers[0].backward(dout, caches[0], input_grad=False)
+    assert skipped is None
 
 
 def test_forward_scale_invariance_of_partitioned_columns():
