@@ -171,10 +171,12 @@ class BatchNormLayer:
     column, and a channels-last (m, h, w, c) batch per channel, over its
     m*h*w rows. Train mode normalizes by the mini-batch mean and biased
     variance; eval mode uses running statistics maintained as an exponential
-    moving average with the unbiased variance correction.
+    moving average with the unbiased variance correction. With those fixed,
+    eval mode is one affine map per unit, ``x * a + b``, and its cache is
+    ``None``: ``backward`` refuses it and ``update_running`` ignores it.
 
     The arithmetic runs on the wide view described at ``_fold_factor``; the
-    cached ``xhat`` has that wide shape.
+    train-mode cache holds ``xhat`` in that wide shape.
     """
 
     def __init__(self, units, momentum_stats=0.1, eps_bn=1e-5, scale_trainable=True):
@@ -205,26 +207,25 @@ class BatchNormLayer:
             raise PreconditionError(f"train-mode BN needs at least 2 rows per unit, got {rows}")
         k = _fold_factor(rows, self.units)
         xw = x.reshape(rows // k, k * self.units)
-        if training:
-            mean = _fold(xw.sum(axis=0), k) / rows
-            xhat = xw - _tile(mean, k)
-            var = _fold((xhat * xhat).sum(axis=0), k) / rows
-        else:
-            mean = self.running_mean
-            var = self.running_var
-            xhat = xw - _tile(mean, k)
+        if not training:
+            a = self.scale / np.sqrt(self.running_var + self.eps_bn)
+            out = xw * _tile(a, k)
+            out += _tile(self.offset - self.running_mean * a, k)
+            return out.reshape(x.shape), None
+        mean = _fold(xw.sum(axis=0), k) / rows
+        xhat = xw - _tile(mean, k)
+        var = _fold((xhat * xhat).sum(axis=0), k) / rows
         inv_std = 1.0 / np.sqrt(var + self.eps_bn)
         xhat *= _tile(inv_std, k)
         out = xhat * _tile(self.scale, k)
         out += _tile(self.offset, k)
-        cache = (xhat, inv_std, mean, var, training)
-        return out.reshape(x.shape), cache
+        return out.reshape(x.shape), (xhat, inv_std, mean, var)
 
     def update_running(self, cache):
-        """Fold the cached batch statistics into the running averages."""
-        xhat, _, mean, var, training = cache
-        if not training:
+        """Fold the cached batch statistics into the running averages (eval caches are ignored)."""
+        if cache is None:
             return
+        xhat, _, mean, var = cache
         rows = xhat.size // self.units
         unbiased = var * rows / (rows - 1)
         w = self.momentum_stats
@@ -232,9 +233,9 @@ class BatchNormLayer:
         self.running_var = (1.0 - w) * self.running_var + w * unbiased
 
     def backward(self, dout, cache, input_grad=True):
-        xhat, inv_std, _, _, training = cache
-        if not training:
+        if cache is None:
             raise PreconditionError("BN backward requires a train-mode cache")
+        xhat, inv_std, _, _ = cache
         k = xhat.shape[1] // self.units
         rows = xhat.size // self.units
         doutw = dout.reshape(xhat.shape)

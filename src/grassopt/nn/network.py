@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionError, NumericalError
+from ..errors import DimensionError, NumericalError, PreconditionError
 from .layers import BatchNormLayer, ConvLayer, DenseLayer, FlattenLayer, ReluLayer, softmax_ce
 
 __all__ = [
@@ -98,20 +98,28 @@ class Network:
             if isinstance(layer, BatchNormLayer):
                 layer.update_running(cache)
 
-    def evaluate(self, x, labels, batch_size=256):
-        """Eval-mode mean loss and accuracy over a full split."""
+    def evaluate(self, x, labels, batch_size=64):
+        """Eval-mode mean loss and accuracy over a full split, 64 rows at a time by default.
+
+        Each batch is streamed through the layers keeping only the current
+        activation: a layer's cache is dropped as soon as it returns, so peak
+        memory follows the batch, not the split. Only the logits are kept, and
+        the loss is taken over all of them at once. An empty split gives
+        (0.0, 0.0); ``batch_size`` below 1 raises ``PreconditionError``.
+        """
+        if batch_size < 1:
+            raise PreconditionError(f"evaluation batch size must be >= 1, got {batch_size}")
         if x.shape[0] == 0:
             return 0.0, 0.0
-        total_loss = 0.0
-        correct = 0
+        batches = []
         for start in range(0, x.shape[0], batch_size):
-            bx = x[start : start + batch_size]
-            by = labels[start : start + batch_size]
-            logits, _ = self.forward(bx, training=False)
-            loss, _ = softmax_ce(logits, by)
-            total_loss += loss * bx.shape[0]
-            correct += int((logits.argmax(axis=1) == by).sum())
-        return total_loss / x.shape[0], correct / x.shape[0]
+            out = x[start : start + batch_size]
+            for layer in self.layers:
+                out = layer.forward(out, training=False)[0]
+            batches.append(out)
+        logits = np.concatenate(batches)
+        loss, _ = softmax_ce(logits, labels)
+        return loss, int((logits.argmax(axis=1) == labels).sum()) / x.shape[0]
 
 
 def partition_parameters(net: Network) -> Partition:

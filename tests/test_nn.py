@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,22 @@ def test_bn_rejects_single_image_pixel_in_train_mode_only():
     assert out.shape == (1, 1, 1, 8)
 
 
+def test_bn_eval_cache_holds_nothing_for_backward_or_running_stats():
+    rng = np.random.default_rng(30)
+    bn = BatchNormLayer(8)
+    bn.running_mean = rng.standard_normal(8)
+    bn.running_var = rng.uniform(0.5, 2.0, 8)
+    x = rng.standard_normal((4, 6, 6, 8))
+    _, cache = bn.forward(x, training=False)
+    assert cache is None  # no xhat, nor anything else the size of the batch
+    with pytest.raises(PreconditionError):
+        bn.backward(np.ones_like(x), cache)
+    mean, var = bn.running_mean.tobytes(), bn.running_var.tobytes()
+    bn.update_running(cache)
+    assert bn.running_mean.tobytes() == mean
+    assert bn.running_var.tobytes() == var
+
+
 def test_bn_input_grad_off_keeps_parameter_gradients():
     rng = np.random.default_rng(27)
     bn = BatchNormLayer(8)
@@ -348,15 +366,20 @@ def _state_bytes(net):
     return out
 
 
+def _move_running_stats(net, rng):
+    """Put every BN layer's running statistics away from their initial values."""
+    for layer in net.layers:
+        if isinstance(layer, BatchNormLayer):
+            layer.running_mean = rng.standard_normal(layer.units)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.units)
+
+
 @pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 def test_network_forward_is_pure(build, training):
     rng = np.random.default_rng(28)
     net, x = build(rng)
-    for layer in net.layers:  # running statistics away from their initial values
-        if isinstance(layer, BatchNormLayer):
-            layer.running_mean = rng.standard_normal(layer.units)
-            layer.running_var = rng.uniform(0.5, 2.0, layer.units)
+    _move_running_stats(net, rng)
     before = _state_bytes(net)
     first, _ = net.forward(x, training=training)
     second, _ = net.forward(x, training=training)
@@ -384,6 +407,65 @@ def test_network_backward_skips_only_first_input_gradient(build):
     assert dx.shape == x.shape  # a direct call still returns the input gradient
     skipped, _ = net.layers[0].backward(dout, caches[0], input_grad=False)
     assert skipped is None
+
+
+@pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
+def test_evaluate_matches_whole_split_forward(build):
+    # Streaming in batches of any size gives the loss and accuracy of one
+    # eval-mode forward over the whole split, and touches no state.
+    rng = np.random.default_rng(31)
+    net, x = build(rng)
+    _move_running_stats(net, rng)
+    for layer in net.layers:
+        if isinstance(layer, BatchNormLayer):
+            layer.offset[:] = rng.standard_normal(layer.units)
+            layer.scale[:] = rng.uniform(0.5, 2.0, layer.units)
+    x = rng.standard_normal((300,) + x.shape[1:])
+    labels = rng.integers(0, 3, x.shape[0])
+    logits, _ = net.forward(x, training=False)
+    ref_loss, _ = softmax_ce(logits, labels)
+    ref_acc = float(np.mean(logits.argmax(axis=1) == labels))
+    before = _state_bytes(net)
+    for batch_size in (1, 7, 64, 256, x.shape[0]):
+        loss, acc = net.evaluate(x, labels, batch_size=batch_size)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss), batch_size
+        assert acc == ref_acc, batch_size
+    assert _state_bytes(net) == before
+
+
+def test_evaluate_rejects_bad_batch_size():
+    rng = np.random.default_rng(32)
+    net, x = _small_mlp(rng)
+    labels = rng.integers(0, 3, x.shape[0])
+    for batch_size in (0, -1):
+        with pytest.raises(PreconditionError):
+            net.evaluate(x, labels, batch_size=batch_size)
+    assert net.evaluate(x[:0], labels[:0]) == (0.0, 0.0)
+
+
+def _traced_peak(fn):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_evaluate_memory_does_not_grow_with_the_split():
+    # Evaluation keeps no caches, so its peak is set by one batch, whatever
+    # the split size, and stays below one cache-keeping 256-image forward.
+    rng = np.random.default_rng(33)
+    net = build_convnet((1, 28, 28), 10, rng, channels=(8, 16))
+    x = rng.standard_normal((2048, 28, 28, 1))
+    labels = rng.integers(0, 10, x.shape[0])
+    tracemalloc.start()
+    try:
+        small = _traced_peak(lambda: net.evaluate(x[:512], labels[:512]))
+        large = _traced_peak(lambda: net.evaluate(x, labels))
+        cached = _traced_peak(lambda: net.forward(x[:256], training=False))
+    finally:
+        tracemalloc.stop()
+    assert abs(large - small) <= 0.1 * small, (small, large)
+    assert large < cached, (large, cached)
 
 
 def test_forward_scale_invariance_of_partitioned_columns():
