@@ -58,13 +58,17 @@ def require_unit(y: np.ndarray, what: str = "point") -> None:
         )
 
 
-def require_tangent(y: np.ndarray, v: np.ndarray, what: str = "vector") -> None:
+def require_tangent(y: np.ndarray, v: np.ndarray, what: str = "vector") -> np.ndarray:
     """Raise :class:`PreconditionError` unless each column of ``v`` is orthogonal to that of ``y``.
 
     The tolerance scales with the column norm: ``|y_j . v_j| <= 1e-9 (1 + |v_j|)``.
+    Returns the column norms ``|v_j|``, which :func:`clip_columns` and
+    :func:`geodesic_columns` accept instead of computing them again.
     """
-    if not np.all(np.abs(_col_inner(y, v)) <= _TANGENCY_TOL * (1.0 + _col_norm(v))):
+    nv = _col_norm(v)
+    if not np.all(np.abs(_col_inner(y, v)) <= _TANGENCY_TOL * (1.0 + nv)):
         raise PreconditionError(f"{what} is not tangent at its base point")
+    return nv
 
 
 def project_columns(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -74,18 +78,23 @@ def project_columns(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h
 
 
-def clip_columns(h: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+def clip_columns(
+    h: np.ndarray, nu: float, norms: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Cap each column norm at ``nu``; returns (clipped copy, norms before clipping).
 
-    Columns at or below ``nu`` are copied unchanged.
+    Columns at or below ``nu`` are copied unchanged. ``norms``, if given, must
+    be the column norms of ``h`` (as :func:`require_tangent` returns them).
     """
     if nu <= 0.0:
         raise PreconditionError(f"clip threshold must be positive, got {nu}")
-    nh = _col_norm(h)
+    nh = _col_norm(h) if norms is None else norms
     return h * (nu / np.maximum(nh, nu)), nh
 
 
-def geodesic_columns(y: np.ndarray, d: np.ndarray, delta: np.ndarray | None = None):
+def geodesic_columns(
+    y: np.ndarray, d: np.ndarray, delta: np.ndarray | None = None, norms: np.ndarray | None = None
+):
     """Follow the geodesic from ``y`` with velocity ``d`` for unit time, column by column.
 
     Returns ``(exp_y(d), pt_y(delta; d))``. With ``u = d/|d|``::
@@ -96,8 +105,9 @@ def geodesic_columns(y: np.ndarray, d: np.ndarray, delta: np.ndarray | None = No
 
     The transported vector is tangent at the new point and keeps its norm.
     Columns with ``|d| < DEGENERATE_STEP`` keep ``y`` and ``delta`` unchanged.
+    ``norms``, if given, must be the column norms ``|d|``.
     """
-    nd = _col_norm(d)
+    nd = _col_norm(d) if norms is None else norms
     still = nd < DEGENERATE_STEP
     safe = np.where(still, 1.0, nd)
     cos, sin = np.cos(nd), np.sin(nd)

@@ -176,7 +176,8 @@ class Trainer:
                 gram = lc.Y.T @ lc.Y
                 ortho_total += ortho_loss(lc, gram)
                 gname = net.layers[k].weight_name
-                grads[k][gname] = grads[k][gname] + ortho_grad(lc, gram).reshape(grads[k][gname].shape)
+                # The backward's gradient is a fresh array: add the penalty's in place.
+                grads[k][gname] += ortho_grad(lc, gram).reshape(grads[k][gname].shape)
 
         # Compute (and check) every update first; write only once all succeeded.
         grassmann = []

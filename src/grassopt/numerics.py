@@ -3,11 +3,11 @@
 Matrices are 2-D ``numpy.ndarray`` objects in double precision. Both helpers
 validate shape and finiteness and raise
 :class:`~grassopt.errors.DimensionError` / :class:`~grassopt.errors.NumericalError`
-instead of propagating numpy's generic exceptions.
+instead of propagating numpy's generic exceptions. Only numpy's dense linear
+algebra is used, so the package needs no other numerical library.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError
 
@@ -51,7 +51,8 @@ def solve_spd(a, b) -> np.ndarray:
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + scale)):
         raise NumericalError("solve_spd: matrix is not symmetric")
     try:
-        factor = scipy.linalg.cho_factor(a, check_finite=False)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"solve_spd: Cholesky factorization failed ({exc})") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    # a = L L^T: solve L z = b, then L^T x = z.
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))

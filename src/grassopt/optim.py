@@ -145,8 +145,8 @@ def _check_update_inputs(y, g, tau, lr, base):
 
 def _projected_clipped(y, g, nu):
     h = manifold.project_columns(y, g)
-    manifold.require_tangent(y, h, "projected gradient")
-    return manifold.clip_columns(h, nu)
+    h_norm = manifold.require_tangent(y, h, "projected gradient")
+    return manifold.clip_columns(h, nu, h_norm)
 
 
 def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
@@ -173,8 +173,8 @@ def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
     d = hyper.gamma * tau
     d -= h_hat
     del h_hat
-    manifold.require_tangent(y, d, "step")
-    y_new, tau_new = manifold.geodesic_columns(y, d)
+    d_norm = manifold.require_tangent(y, d, "step")
+    y_new, tau_new = manifold.geodesic_columns(y, d, norms=d_norm)
     manifold.require_unit(y_new, "new point")
     manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, h_norm
@@ -208,8 +208,8 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
     del h_hat
     manifold.require_tangent(y, m, "momentum")
     d = (-eta_t / np.sqrt(v_new + hyper.epsilon)) * m
-    manifold.require_tangent(y, d, "step")
-    y_new, tau_new = manifold.geodesic_columns(y, d, m)
+    d_norm = manifold.require_tangent(y, d, "step")
+    y_new, tau_new = manifold.geodesic_columns(y, d, m, norms=d_norm)
     manifold.require_unit(y_new, "new point")
     manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, v_new, h_norm

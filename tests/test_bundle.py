@@ -109,9 +109,9 @@ def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
     shapes = []
     real_geodesic = manifold.geodesic_columns
 
-    def recording(y, d, delta=None):
+    def recording(y, d, delta=None, norms=None):
         shapes.append(y.shape)
-        return real_geodesic(y, d, delta)
+        return real_geodesic(y, d, delta, norms)
 
     monkeypatch.setattr(manifold, "geodesic_columns", recording)
     trainer.train_step(x, labels, trainer.eta_g, 0.01)
