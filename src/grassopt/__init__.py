@@ -2,7 +2,7 @@
 
 from .optim import (
     AdamGHyper,
-    EuclideanSgdState,
+    EuclideanHyper,
     LrSchedule,
     SgdGHyper,
     adamg_update,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SgdGHyper",
     "AdamGHyper",
-    "EuclideanSgdState",
+    "EuclideanHyper",
     "LrSchedule",
     "sgdg_update",
     "adamg_update",

@@ -3,14 +3,17 @@
 The format is flat ``key = value`` text grouped into sections. Every key is
 globally unique so each one can be overridden by a command-line flag of the
 same name. Unknown sections or keys are rejected before any training state is
-allocated.
+allocated. Each key is one field of :class:`TrainConfig`, which records its
+section, converter and default; ``SCHEMA`` is derived from those fields.
 """
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .optim import OPTIMIZERS, default_eta_g
+from .nn.layers import BN_EPS, BN_MOMENTUM
+from .nn.training import ORTHO_ALPHA
+from .optim import OPTIMIZERS, AdamGHyper, EuclideanHyper, SgdGHyper, default_eta_g
 
 __all__ = ["TrainConfig", "SCHEMA", "load_config", "make_config", "config_to_ini"]
 
@@ -45,107 +48,55 @@ def _optional_bool(text):
     return _bool(t)
 
 
-# section -> key -> (converter, default)
-SCHEMA = {
-    "model": {
-        "arch": (str, "mlp"),
-        "hidden": (_int_list, (16, 8)),
-        "channels": (_int_list, (8, 16)),
-        "freeze_bn_scale": (_bool, False),
-        "bn_eps": (float, 1e-5),
-        "bn_momentum": (float, 0.1),
-    },
-    "optimizer": {
-        "optimizer": (str, "sgd-g"),
-        "eta_e": (float, 0.01),
-        "eta_g": (_optional_float, None),
-        "gamma": (float, 0.9),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.99),
-        "nu": (float, 0.1),
-        "alpha": (float, 0.1),
-        "weight_decay": (float, 0.0005),
-        "nesterov": (_bool, True),
-        "bn_weight_decay": (_optional_bool, None),
-    },
-    "schedule": {
-        "milestones": (_int_list, (60, 120, 160)),
-        "factor": (float, 0.2),
-    },
-    "train": {
-        "epochs": (int, 60),
-        "batch_size": (int, 32),
-        "seed": (int, 0),
-    },
-    "data": {
-        "dataset": (str, "blobs"),
-        "data_path": (str, ""),
-        "classes": (int, 3),
-        "n_per_class": (int, 200),
-        "dim": (int, 16),
-        "spread": (float, 0.6),
-        "noise": (float, 0.2),
-        "normalize_mode": (str, "standard"),
-        "label_column": (str, "label"),
-    },
-    "output": {
-        "out_dir": (str, "runs/default"),
-        "metrics_format": (str, "csv"),
-        "timing": (_bool, False),
-    },
-}
-
-_KEY_SECTION = {}
-for _section, _keys in SCHEMA.items():
-    for _key in _keys:
-        if _key in _KEY_SECTION:
-            raise RuntimeError(f"duplicate config key {_key!r}")
-        _KEY_SECTION[_key] = _section
-
 _ARCHS = ("mlp", "conv")
 _DATASETS = ("blobs", "spirals", "idx", "csv")
 _NORMALIZE_MODES = ("standard", "intensity", "none")
 _METRICS_FORMATS = ("csv", "jsonl")
 
 
+def _key(section, converter, default):
+    """One config key: its INI section, its text converter and its default."""
+    return field(default=default, metadata={"section": section, "converter": converter})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Fully resolved training configuration."""
+    """Fully resolved training configuration; each field is one config key."""
 
-    arch: str = "mlp"
-    hidden: tuple = (16, 8)
-    channels: tuple = (8, 16)
-    freeze_bn_scale: bool = False
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
-    optimizer: str = "sgd-g"
-    eta_e: float = 0.01
-    eta_g: float | None = None
-    gamma: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.99
-    nu: float = 0.1
-    alpha: float = 0.1
-    weight_decay: float = 0.0005
-    nesterov: bool = True
-    bn_weight_decay: bool | None = None
-    milestones: tuple = (60, 120, 160)
-    factor: float = 0.2
-    epochs: int = 60
-    batch_size: int = 32
-    seed: int = 0
-    dataset: str = "blobs"
-    data_path: str = ""
-    classes: int = 3
-    n_per_class: int = 200
-    dim: int = 16
-    spread: float = 0.6
-    noise: float = 0.2
-    normalize_mode: str = "standard"
-    label_column: str = "label"
-    out_dir: str = "runs/default"
-    metrics_format: str = "csv"
-    timing: bool = False
+    arch: str = _key("model", str, "mlp")
+    hidden: tuple = _key("model", _int_list, (16, 8))
+    channels: tuple = _key("model", _int_list, (8, 16))
+    freeze_bn_scale: bool = _key("model", _bool, False)
+    bn_eps: float = _key("model", float, BN_EPS)
+    bn_momentum: float = _key("model", float, BN_MOMENTUM)
+    optimizer: str = _key("optimizer", str, "sgd-g")
+    eta_e: float = _key("optimizer", float, EuclideanHyper.eta)
+    eta_g: float | None = _key("optimizer", _optional_float, None)
+    gamma: float = _key("optimizer", float, SgdGHyper.gamma)
+    beta1: float = _key("optimizer", float, AdamGHyper.beta1)
+    beta2: float = _key("optimizer", float, AdamGHyper.beta2)
+    nu: float = _key("optimizer", float, SgdGHyper.nu)
+    alpha: float = _key("optimizer", float, ORTHO_ALPHA)
+    weight_decay: float = _key("optimizer", float, EuclideanHyper.weight_decay)
+    nesterov: bool = _key("optimizer", _bool, EuclideanHyper.nesterov)
+    bn_weight_decay: bool | None = _key("optimizer", _optional_bool, None)
+    milestones: tuple = _key("schedule", _int_list, (60, 120, 160))
+    factor: float = _key("schedule", float, 0.2)
+    epochs: int = _key("train", int, 60)
+    batch_size: int = _key("train", int, 32)
+    seed: int = _key("train", int, 0)
+    dataset: str = _key("data", str, "blobs")
+    data_path: str = _key("data", str, "")
+    classes: int = _key("data", int, 3)
+    n_per_class: int = _key("data", int, 200)
+    dim: int = _key("data", int, 16)
+    spread: float = _key("data", float, 0.6)
+    noise: float = _key("data", float, 0.2)
+    normalize_mode: str = _key("data", str, "standard")
+    label_column: str = _key("data", str, "label")
+    out_dir: str = _key("output", str, "runs/default")
+    metrics_format: str = _key("output", str, "csv")
+    timing: bool = _key("output", _bool, False)
 
     def __post_init__(self):
         if self.arch not in _ARCHS:
@@ -182,16 +133,27 @@ class TrainConfig:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if len(self.channels) != 2:
+            raise ConfigError(f"channels must be exactly 2 widths, got {self.channels}")
+        for name in ("hidden", "channels"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.dataset in ("idx", "csv") and not self.data_path:
             raise ConfigError(f"dataset {self.dataset!r} requires data_path")
 
 
+# section -> key -> (converter, default), in field order
+SCHEMA = {}
+for _f in fields(TrainConfig):
+    SCHEMA.setdefault(_f.metadata["section"], {})[_f.name] = (_f.metadata["converter"], _f.default)
+_KEY_SECTION = {f.name: f.metadata["section"] for f in fields(TrainConfig)}
+
+
 def make_config(**values) -> TrainConfig:
     """Build a TrainConfig from keyword values, rejecting unknown keys."""
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - _KEY_SECTION.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     return TrainConfig(**values)

@@ -56,15 +56,15 @@ def save_checkpoint(path, trainer: Trainer) -> None:
             point_scalars.append({"v": float(state.v[ref.column]), "t": state.t})
         else:
             point_scalars.append({})
-    for i, state in enumerate(trainer.euclid_states):
-        arrays[f"euclid{i}.velocity"] = state.velocity
+    for i, velocity in enumerate(trainer.velocities):
+        arrays[f"euclid{i}.velocity"] = velocity
 
     header = {
         "version": CHECKPOINT_VERSION,
         "net_meta": trainer.net.meta,
         "optimizer": trainer.optimizer,
-        "eta_e": trainer.eta_e,
-        "eta_g": trainer.eta_g,
+        "eta_e": trainer.euclid_hyper.eta,
+        "eta_g": (trainer.adamg_hyper if trainer.optimizer == "adam-g" else trainer.sgdg_hyper).eta,
         "alpha": trainer.alpha,
         "bn_weight_decay": trainer.decay_groups["bn"],
         "euclid_hyper": vars(trainer.euclid_hyper),
@@ -127,28 +127,20 @@ def load_checkpoint(path) -> Trainer:
     header, arrays = _read(path)
     try:
         net = build_network(header["net_meta"], np.random.default_rng(0))
-        sg = header["sgdg_hyper"]
-        ag = header["adamg_hyper"]
-        eh = header["euclid_hyper"]
         trainer = Trainer(
             net,
             header["optimizer"],
-            eta_e=header["eta_e"],
-            eta_g=header["eta_g"],
-            gamma=sg["gamma"],
-            beta1=ag["beta1"],
-            beta2=ag["beta2"],
-            nu=sg["nu"],
+            euclid=optim.EuclideanHyper(**header["euclid_hyper"]),
+            sgdg=optim.SgdGHyper(**header["sgdg_hyper"]),
+            adamg=optim.AdamGHyper(**header["adamg_hyper"]),
             alpha=header["alpha"],
-            weight_decay=eh["weight_decay"],
-            nesterov=eh["nesterov"],
             bn_weight_decay=header["bn_weight_decay"],
         )
         saved_points = [tuple(entry) for entry in header["partition"]["points"]]
         saved_euclid = [tuple(entry) for entry in header["partition"]["euclidean"]]
         point_scalars = header["point_scalars"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"checkpoint header is incomplete: {exc!r}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a hyper or layer check failed too
+        raise ValidationError(f"checkpoint header is invalid: {exc!r}") from None
 
     actual_points = [(r.layer_index, r.column, r.dim) for r in trainer.partition.points]
     actual_euclid = [(r.layer_index, r.name, r.group) for r in trainer.partition.euclidean]
@@ -189,7 +181,6 @@ def load_checkpoint(path) -> Trainer:
             state.v = np.array([float(point_scalars[i]["v"]) for i in points])
             state.t = int(steps.pop())
 
-    for i, state in enumerate(trainer.euclid_states):
-        velocity = _array(arrays, f"euclid{i}.velocity", state.velocity.shape)
-        trainer.euclid_states[i] = optim.EuclideanSgdState(velocity, trainer.euclid_hyper)
+    for i, velocity in enumerate(trainer.velocities):
+        velocity[...] = _array(arrays, f"euclid{i}.velocity", velocity.shape)
     return trainer

@@ -27,7 +27,12 @@ __all__ = [
     "ReluLayer",
     "FlattenLayer",
     "softmax_ce",
+    "BN_EPS",
+    "BN_MOMENTUM",
 ]
+
+BN_EPS = 1e-5  # default variance floor of batch normalization
+BN_MOMENTUM = 0.1  # default weight of the batch statistics in the running averages
 
 
 class DenseLayer:
@@ -179,7 +184,7 @@ class BatchNormLayer:
     train-mode cache holds ``xhat`` in that wide shape.
     """
 
-    def __init__(self, units, momentum_stats=0.1, eps_bn=1e-5, scale_trainable=True):
+    def __init__(self, units, momentum_stats=BN_MOMENTUM, eps_bn=BN_EPS, scale_trainable=True):
         if not 0.0 < momentum_stats < 1.0:
             raise PreconditionError(f"momentum_stats must be in (0, 1), got {momentum_stats}")
         if eps_bn <= 0.0:

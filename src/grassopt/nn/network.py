@@ -11,8 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionError, NumericalError, PreconditionError
-from .layers import BatchNormLayer, ConvLayer, DenseLayer, FlattenLayer, ReluLayer, softmax_ce
+from ..errors import NumericalError, PreconditionError
+from .layers import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNormLayer,
+    ConvLayer,
+    DenseLayer,
+    FlattenLayer,
+    ReluLayer,
+    softmax_ce,
+)
 
 __all__ = [
     "Network",
@@ -49,12 +58,6 @@ class Partition:
     points: tuple[PointRef, ...]
     euclidean: tuple[EuclideanRef, ...]
     grassmann_layers: tuple[int, ...]  # layers whose whole weight matrix is column-partitioned
-
-    def scalar_counts(self, net: "Network") -> tuple[int, int]:
-        """(Grassmann scalars counted as point dims, Euclidean scalars)."""
-        g = sum(ref.dim for ref in self.points)
-        e = sum(net.layers[ref.layer_index].params()[ref.name].size for ref in self.euclidean)
-        return g, e
 
 
 class Network:
@@ -174,8 +177,8 @@ def build_mlp(
     classes,
     rng,
     freeze_bn_scale=False,
-    bn_eps=1e-5,
-    bn_momentum=0.1,
+    bn_eps=BN_EPS,
+    bn_momentum=BN_MOMENTUM,
 ):
     """Dense-BN-ReLU stack with a biased linear classifier on top.
 
@@ -211,10 +214,10 @@ def build_convnet(
     input_shape,
     classes,
     rng,
-    channels=(8, 16),
+    channels,
     freeze_bn_scale=False,
-    bn_eps=1e-5,
-    bn_momentum=0.1,
+    bn_eps=BN_EPS,
+    bn_momentum=BN_MOMENTUM,
 ):
     """Two conv-BN-ReLU blocks (second one stride 2) and a linear classifier.
 
@@ -254,20 +257,5 @@ def build_convnet(
 
 def build_network(meta, rng):
     """Rebuild a network from its meta descriptor (fresh random parameters)."""
-    kind = meta.get("kind")
-    if kind == "mlp":
-        return build_mlp(
-            meta["in_dim"], meta["hidden"], meta["classes"], rng,
-            freeze_bn_scale=meta.get("freeze_bn_scale", False),
-            bn_eps=meta.get("bn_eps", 1e-5),
-            bn_momentum=meta.get("bn_momentum", 0.1),
-        )
-    if kind == "conv":
-        return build_convnet(
-            meta["input_shape"], meta["classes"], rng,
-            channels=meta.get("channels", (8, 16)),
-            freeze_bn_scale=meta.get("freeze_bn_scale", False),
-            bn_eps=meta.get("bn_eps", 1e-5),
-            bn_momentum=meta.get("bn_momentum", 0.1),
-        )
-    raise DimensionError(f"unknown network kind {kind!r}")
+    rest = dict(meta)
+    return {"mlp": build_mlp, "conv": build_convnet}[rest.pop("kind")](rng=rng, **rest)

@@ -23,7 +23,11 @@ from ..optim import GRASSMANN_OPTIMIZERS, OPTIMIZERS
 from ..regularizer import LayerColumns, ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
 
-__all__ = ["StepStats", "EpochStats", "LayerState", "Trainer", "GRASSMANN_OPTIMIZERS", "OPTIMIZERS"]
+__all__ = [
+    "StepStats", "EpochStats", "LayerState", "Trainer", "ORTHO_ALPHA", "GRASSMANN_OPTIMIZERS", "OPTIMIZERS",
+]
+
+ORTHO_ALPHA = 0.1  # default strength of the orthogonality penalty
 
 
 @dataclass
@@ -87,26 +91,24 @@ class EpochStats:
 class Trainer:
     """Owns the optimizer states for one network and applies train steps.
 
-    ``bn_weight_decay=None`` resolves to the per-optimizer default: the
-    Euclidean baseline decays BN offsets/scales, the Grassmann optimizers do
-    not.
+    ``euclid``, ``sgdg`` and ``adamg`` are the hyperparameters of the
+    Euclidean baseline and of the two Grassmann optimizers; only the one
+    that ``optimizer`` names moves the Grassmann layers. ``alpha`` is the
+    orthogonality penalty's strength. ``bn_weight_decay=None`` resolves to
+    the per-optimizer default: the Euclidean baseline decays BN
+    offsets/scales, the Grassmann optimizers do not.
     """
 
     def __init__(
         self,
         net: Network,
-        optimizer: str = "sgd-g",
+        optimizer: str,
         *,
         rng: np.random.Generator | None = None,
-        eta_e: float = 0.01,
-        eta_g: float | None = None,
-        gamma: float = 0.9,
-        beta1: float = 0.9,
-        beta2: float = 0.99,
-        nu: float = 0.1,
-        alpha: float = 0.1,
-        weight_decay: float = 0.0005,
-        nesterov: bool = True,
+        euclid: optim.EuclideanHyper = optim.EuclideanHyper(),
+        sgdg: optim.SgdGHyper = optim.SgdGHyper(),
+        adamg: optim.AdamGHyper = optim.AdamGHyper(),
+        alpha: float = ORTHO_ALPHA,
         bn_weight_decay: bool | None = None,
     ):
         if optimizer not in OPTIMIZERS:
@@ -114,20 +116,13 @@ class Trainer:
         self.net = net
         self.optimizer = optimizer
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        if eta_g is None:
-            eta_g = optim.default_eta_g(optimizer)
-        self.eta_e = float(eta_e)
-        self.eta_g = float(eta_g)
+        self.euclid_hyper = euclid
+        self.sgdg_hyper = sgdg
+        self.adamg_hyper = adamg
         self.alpha = float(alpha)
         if bn_weight_decay is None:
             bn_weight_decay = optimizer == "sgd"
         self.decay_groups = {"weight": True, "bias": True, "bn": bool(bn_weight_decay)}
-
-        self.euclid_hyper = optim.EuclideanHyper(
-            eta=eta_e, momentum=0.9, weight_decay=weight_decay, nesterov=nesterov
-        )
-        self.sgdg_hyper = optim.SgdGHyper(eta=eta_g, gamma=gamma, nu=nu)
-        self.adamg_hyper = optim.AdamGHyper(eta=eta_g, beta1=beta1, beta2=beta2, nu=nu)
 
         full = partition_parameters(net)
         if optimizer == "sgd":
@@ -144,10 +139,7 @@ class Trainer:
         self.layer_states = [
             LayerState.init(k, net.layers[k].weight_matrix()) for k in self.partition.grassmann_layers
         ]
-        self.euclid_states = [
-            optim.EuclideanSgdState.init(self._param(ref), self.euclid_hyper)
-            for ref in self.partition.euclidean
-        ]
+        self.velocities = [np.zeros_like(self._param(ref)) for ref in self.partition.euclidean]
 
     def _param(self, ref) -> np.ndarray:
         return self.net.layers[ref.layer_index].params()[ref.name]
@@ -210,11 +202,10 @@ class Trainer:
             arr = self._param(ref)
             g = grads[ref.layer_index][ref.name]
             max_grad = max(max_grad, float(np.linalg.norm(g.ravel())))
-            new, new_state = optim.euclidean_sgd_step(
-                arr, g, self.euclid_states[i], lr_e,
-                apply_weight_decay=self.decay_groups[ref.group],
+            new, v_new = optim.euclidean_sgd_step(
+                arr, g, self.velocities[i], lr_e, self.euclid_hyper, self.decay_groups[ref.group]
             )
-            euclid.append((i, arr, new, new_state))
+            euclid.append((arr, new, v_new))
 
         # Copied into the existing buffers, so long-lived arrays are not reallocated every step.
         for state, wm, y_new, tau_new, v_new, t_new in grassmann:
@@ -222,9 +213,9 @@ class Trainer:
             state.base[...] = y_new
             state.tau[...] = tau_new
             state.v, state.t = v_new, t_new
-        for i, arr, new, new_state in euclid:
+        for i, (arr, new, v_new) in enumerate(euclid):
             arr[...] = new
-            self.euclid_states[i] = new_state
+            self.velocities[i] = v_new
         net.apply_running_updates(caches)
 
         angles_arr = np.concatenate(angles) if angles else np.zeros(1)

@@ -9,7 +9,7 @@ steps every column of an n-by-p weight matrix.
 """
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "SgdGHyper",
     "AdamGHyper",
     "EuclideanHyper",
-    "EuclideanSgdState",
     "LrSchedule",
     "sgdg_update",
     "adamg_update",
@@ -86,18 +85,6 @@ class EuclideanHyper:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     nesterov: bool = True
-
-
-@dataclass(frozen=True)
-class EuclideanSgdState:
-    """Velocity state of one Euclidean parameter array."""
-
-    velocity: np.ndarray
-    hyper: EuclideanHyper = field(default_factory=EuclideanHyper)
-
-    @staticmethod
-    def init(w: np.ndarray, hyper: EuclideanHyper | None = None) -> "EuclideanSgdState":
-        return EuclideanSgdState(np.zeros_like(w, dtype=np.float64), hyper or EuclideanHyper())
 
 
 @dataclass(frozen=True)
@@ -218,29 +205,28 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
 def euclidean_sgd_step(
     w: np.ndarray,
     g: np.ndarray,
-    state: EuclideanSgdState,
+    velocity: np.ndarray,
     lr: float,
+    hyper: EuclideanHyper,
     apply_weight_decay: bool = True,
-) -> tuple[np.ndarray, EuclideanSgdState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One SGD step with (optionally Nesterov) momentum on a Euclidean parameter.
 
     The L2 term ``weight_decay * w`` is folded into the gradient before the
     momentum update. Arrays of any shape are accepted; the velocity mirrors
-    the parameter's shape.
+    the parameter's shape. Nothing is modified in place. Returns ``(w', v')``,
+    the new parameter and velocity.
     """
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if w.shape != g.shape:
         raise PreconditionError(f"parameter shape {w.shape} != gradient shape {g.shape}")
-    if state.velocity.shape != w.shape:
-        raise PreconditionError(
-            f"velocity shape {state.velocity.shape} != parameter shape {w.shape}"
-        )
+    if velocity.shape != w.shape:
+        raise PreconditionError(f"velocity shape {velocity.shape} != parameter shape {w.shape}")
     if not np.isfinite(g).all():
         raise NumericalError("non-finite gradient for a Euclidean parameter")
-    hyper = state.hyper
     if apply_weight_decay and hyper.weight_decay != 0.0:
         g = g + hyper.weight_decay * w
-    v = hyper.momentum * state.velocity + g
+    v = hyper.momentum * velocity + g
     update = g + hyper.momentum * v if hyper.nesterov else v
-    return w - lr * update, EuclideanSgdState(v, hyper)
+    return w - lr * update, v

@@ -21,7 +21,6 @@ __all__ = [
     "ortho_loss",
     "ortho_grad",
     "complexity_loss",
-    "complexity_loss_full",
     "descent_check",
 ]
 
@@ -115,20 +114,6 @@ def complexity_loss(layer: LayerColumns) -> float:
     the columns of Y are mutually orthogonal.
     """
     return _complexity_from_matrix(layer.Y, layer.alpha, layer.sigma)
-
-
-def complexity_loss_full(layer: LayerColumns) -> float:
-    """Symmetric KL divergence between N(0, sigma^2 I + Y Y^T) and N(0, alpha I).
-
-    Includes the constant terms dropped by :func:`complexity_loss`:
-    ``(1/2) tr(C1^{-1} C0 + C0^{-1} C1) - n`` with ``C0 = sigma^2 I + Y Y^T``
-    and ``C1 = alpha I``.
-    """
-    n, p = layer.n, layer.p
-    # tr(C1^{-1} C0) = (sigma^2 n + p) / alpha since the columns are unit norm.
-    const = (layer.sigma**2 * n + p) / layer.alpha
-    variable = _complexity_from_matrix(layer.Y, layer.alpha, layer.sigma)
-    return 0.5 * const + variable - n
 
 
 def descent_check(layer: LayerColumns, column: int, fd_step: float = 1e-6) -> float:

@@ -16,7 +16,7 @@ from .data import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, normalize
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsRecord, MetricsWriter
 from .nn import Trainer, build_convnet, build_mlp, save_checkpoint
-from .optim import LrSchedule, schedule_lr
+from .optim import AdamGHyper, EuclideanHyper, LrSchedule, SgdGHyper, schedule_lr
 
 __all__ = ["OUTPUT_DIR_ENV", "build_dataset", "build_model", "run_training", "run_compare"]
 
@@ -86,9 +86,10 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
     test_x = _features_for(cfg, ds.test_x)
     trainer = Trainer(
         net, cfg.optimizer, rng=rng,
-        eta_e=cfg.eta_e, eta_g=cfg.eta_g, gamma=cfg.gamma, beta1=cfg.beta1, beta2=cfg.beta2,
-        nu=cfg.nu, alpha=cfg.alpha, weight_decay=cfg.weight_decay, nesterov=cfg.nesterov,
-        bn_weight_decay=cfg.bn_weight_decay,
+        euclid=EuclideanHyper(eta=cfg.eta_e, weight_decay=cfg.weight_decay, nesterov=cfg.nesterov),
+        sgdg=SgdGHyper(eta=cfg.eta_g, gamma=cfg.gamma, nu=cfg.nu),
+        adamg=AdamGHyper(eta=cfg.eta_g, beta1=cfg.beta1, beta2=cfg.beta2, nu=cfg.nu),
+        alpha=cfg.alpha, bn_weight_decay=cfg.bn_weight_decay,
     )
 
     schedule_e = LrSchedule(cfg.eta_e, cfg.milestones, cfg.factor)

@@ -63,7 +63,7 @@ def adamg_column(y, g, state, lr, hyper):
 
 
 class ColumnOracle:
-    """Drives a :class:`Trainer`'s network, partition and Euclidean states column by column."""
+    """Drives a :class:`Trainer`'s network, partition and Euclidean velocities column by column."""
 
     def __init__(self, trainer):
         self.trainer = trainer
@@ -89,11 +89,10 @@ class ColumnOracle:
             else:
                 y_new, self.points[i] = adamg_column(y, g[:, ref.column], self.points[i], lr_g, tr.adamg_hyper)
             wm[:, ref.column] = y_new
-        for i, ref in enumerate(tr.partition.euclidean):
+        for ref, velocity in zip(tr.partition.euclidean, tr.velocities):
             arr = tr._param(ref)
-            new, tr.euclid_states[i] = optim.euclidean_sgd_step(
-                arr, grads[ref.layer_index][ref.name], tr.euclid_states[i], lr_e,
+            arr[...], velocity[...] = optim.euclidean_sgd_step(
+                arr, grads[ref.layer_index][ref.name], velocity, lr_e, tr.euclid_hyper,
                 apply_weight_decay=tr.decay_groups[ref.group],
             )
-            arr[...] = new
         net.apply_running_updates(caches)

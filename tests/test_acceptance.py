@@ -11,7 +11,7 @@ from grassopt import checks
 from grassopt.config import make_config
 from grassopt.data import gen_blobs, normalize
 from grassopt.nn import BatchNormLayer, DenseLayer, Trainer, build_mlp
-from grassopt.optim import AdamGHyper, SgdGHyper, adamg_update, sgdg_update
+from grassopt.optim import AdamGHyper, SgdGHyper, adamg_update, default_eta_g, sgdg_update
 from grassopt.regularizer import LayerColumns, complexity_loss, descent_check
 from grassopt.runner import run_compare, run_training
 
@@ -59,7 +59,7 @@ def _toy_training_maxima(optimizer, epochs=15):
     rng = np.random.default_rng(0)
     net = build_mlp(16, (8, 6), 3, rng)
     trainer = Trainer(net, optimizer, rng=rng)
-    lr_g = trainer.eta_g
+    lr_g = default_eta_g(optimizer)
     max_contrib = 0.0
     max_angle = 0.0
     for _ in range(epochs):

@@ -1,5 +1,7 @@
 """The bundled Grassmann step: equivalence with the per-column oracle, atomicity, and checkpoints."""
 
+import dataclasses
+import json
 import os
 import stat
 import subprocess
@@ -51,10 +53,11 @@ def test_bundle_step_matches_per_column_oracle(build, optimizer):
     oracle = ColumnOracle(Trainer(build(np.random.default_rng(5)), optimizer))
     assert len(bundled.layer_states) == 2
     data_rng = np.random.default_rng(9)
+    lr_g = optim.default_eta_g(optimizer)
     for _ in range(25):
         bx, by = _batch(build, data_rng)
-        bundled.train_step(bx, by, bundled.eta_g, 0.01)
-        oracle.train_step(bx, by, bundled.eta_g, 0.01)
+        bundled.train_step(bx, by, lr_g, 0.01)
+        oracle.train_step(bx, by, lr_g, 0.01)
 
     for a, b in zip(_net_arrays(bundled.net), _net_arrays(oracle.trainer.net)):
         assert np.max(np.abs(a - b)) <= 1e-14
@@ -114,7 +117,7 @@ def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
         return real_geodesic(y, d, delta, norms)
 
     monkeypatch.setattr(manifold, "geodesic_columns", recording)
-    trainer.train_step(x, labels, trainer.eta_g, 0.01)
+    trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     assert shapes == [(20, 12), (12, 6)]
     assert [s.tau.shape for s in trainer.layer_states] == shapes
 
@@ -157,7 +160,7 @@ def _snapshot(trainer):
     arrays = _net_arrays(trainer.net)
     for s in trainer.layer_states:
         arrays += [s.base, s.tau, s.v, np.array(s.t)]
-    arrays += [s.velocity for s in trainer.euclid_states]
+    arrays += trainer.velocities
     return [a.tobytes() for a in arrays]
 
 
@@ -169,7 +172,7 @@ def test_non_finite_gradient_leaves_everything_unchanged(monkeypatch, optimizer,
     trainer = Trainer(net, optimizer)
     x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
     for _ in range(3):  # non-zero momenta and statistics
-        trainer.train_step(x, labels, trainer.eta_g, 0.01)
+        trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     before = _snapshot(trainer)
 
     layer, name, index = where
@@ -182,7 +185,7 @@ def test_non_finite_gradient_leaves_everything_unchanged(monkeypatch, optimizer,
 
     monkeypatch.setattr(net, "loss_and_grads", poisoned)
     with pytest.raises(NumericalError):
-        trainer.train_step(x, labels, trainer.eta_g, 0.01)
+        trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     assert _snapshot(trainer) == before
 
 
@@ -192,7 +195,7 @@ def test_step_refuses_state_of_other_columns():
     w[:, 2] = w[::-1, 2]  # still unit norm, but no longer where the momentum was left
     before = _snapshot(trainer)
     with pytest.raises(PreconditionError, match="different point"):
-        trainer.train_step(x, labels, trainer.eta_g, 0.01)
+        trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     assert _snapshot(trainer) == before
 
 
@@ -204,7 +207,7 @@ def _trained():
     trainer = Trainer(build_mlp(16, (16, 8), 3, rng), "sgd-g")
     x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
     for _ in range(3):
-        trainer.train_step(x, labels, trainer.eta_g, 0.01)
+        trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     return trainer, (x, labels)
 
 
@@ -217,7 +220,7 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert path.stat().st_mode == reference.stat().st_mode  # the usual umask permissions
     reference.unlink()
     saved = [a.copy() for a in _net_arrays(trainer.net)]
-    trainer.train_step(x, labels, trainer.eta_g, 0.01)
+    trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
 
     def savez_then_fail(fh, **arrays):
         fh.write(b"PK\x03\x04 partial archive")
@@ -315,3 +318,48 @@ def test_truncated_checkpoint_raises_validation_error(tmp_path):
     path.write_bytes(b"PK\x03\x04 partial")
     with pytest.raises(ValidationError):
         load_checkpoint(path)
+
+
+def _with_header(src, dst, edit):
+    """Copy a checkpoint archive with ``edit`` applied to its parsed JSON header."""
+    with np.load(src) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    header = json.loads(bytes(arrays["__header__"]).decode())
+    edit(header)
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sgdg_hyper", "nu", -1.0),
+    ("net_meta", "bn_eps", 0.0),
+    ("net_meta", "kind", "rnn"),
+])
+def test_bad_header_value_raises_validation_error(tmp_path, section, key, value):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header[section].__setitem__(key, value))
+    with pytest.raises(ValidationError, match="header"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_restores_every_hyperparameter(tmp_path):
+    hypers = {
+        "euclid": optim.EuclideanHyper(eta=0.03, momentum=0.5, weight_decay=0.001, nesterov=False),
+        "sgdg": optim.SgdGHyper(eta=0.3, gamma=0.8, nu=0.2),
+        "adamg": optim.AdamGHyper(eta=0.07, beta1=0.8, beta2=0.95, nu=0.3, epsilon=1e-6),
+    }
+    for hyper in hypers.values():
+        assert all(getattr(hyper, f.name) != f.default for f in dataclasses.fields(hyper))
+    rng = np.random.default_rng(35)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), "sgd-g", **hypers, alpha=0.05, bn_weight_decay=True)
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, trainer)
+    restored = load_checkpoint(path)
+    assert restored.euclid_hyper == hypers["euclid"]
+    assert restored.sgdg_hyper == hypers["sgdg"]
+    assert restored.adamg_hyper == hypers["adamg"]
+    assert restored.alpha == 0.05 != training.ORTHO_ALPHA
+    assert restored.decay_groups["bn"] is True

@@ -1,8 +1,10 @@
 import os
 
 import numpy as np
+import pytest
 
 from grassopt import checks, cli, manifold, runner
+from grassopt.data import write_idx
 from grassopt.metrics import METRIC_FIELDS
 from grassopt.nn import load_checkpoint
 
@@ -68,6 +70,28 @@ def test_train_rejects_unknown_key_before_running(tmp_path):
 def test_train_flag_value_validation(tmp_path):
     code = cli.main(["train", "--batch_size", "1", "--out_dir", str(tmp_path / "y")])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--arch", "conv", "--channels", "4,8,16"], "channels"),
+    (["--arch", "conv", "--channels", ""], "channels"),
+    (["--hidden", "0"], "hidden"),
+])
+def test_train_bad_widths_are_config_errors(tmp_path, capsys, flags, key):
+    # Image data, so the widths reach the network builders if nothing rejects them first.
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    write_idx(data / "train-images-idx3-ubyte", rng.integers(0, 256, (12, 6, 6)).astype(np.uint8))
+    write_idx(data / "train-labels-idx1-ubyte", (np.arange(12) % 3).astype(np.uint8))
+    out = tmp_path / "widths"
+    code = cli.main(["train", "--out_dir", str(out), "--dataset", "idx", "--data_path", str(data),
+                     "--classes", "3", "--epochs", "1", "--batch_size", "4", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {key} ")
+    assert "Traceback" not in err
+    assert not out.exists()  # refused before any output is written
 
 
 def test_train_runtime_abort_exit_2_and_last_good_checkpoint(tmp_path):

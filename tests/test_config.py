@@ -1,7 +1,13 @@
+import configparser
+import os
+import re
+
 import pytest
 
-from grassopt.config import config_to_ini, load_config, make_config
+from grassopt.config import SCHEMA, config_to_ini, load_config, make_config
 from grassopt.errors import ConfigError
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_default_hyperparameters():
@@ -92,3 +98,33 @@ def test_round_trip_through_ini(tmp_path):
     path.write_text(text)
     again = load_config(path)
     assert again == cfg
+
+
+DEFAULT_INI = (
+    "[model]\narch = mlp\nhidden = 16,8\nchannels = 8,16\nfreeze_bn_scale = False\nbn_eps = 1e-05\n"
+    "bn_momentum = 0.1\n\n"
+    "[optimizer]\noptimizer = sgd-g\neta_e = 0.01\neta_g = 0.2\ngamma = 0.9\nbeta1 = 0.9\nbeta2 = 0.99\n"
+    "nu = 0.1\nalpha = 0.1\nweight_decay = 0.0005\nnesterov = True\nbn_weight_decay = auto\n\n"
+    "[schedule]\nmilestones = 60,120,160\nfactor = 0.2\n\n"
+    "[train]\nepochs = 60\nbatch_size = 32\nseed = 0\n\n"
+    "[data]\ndataset = blobs\ndata_path = \nclasses = 3\nn_per_class = 200\ndim = 16\nspread = 0.6\n"
+    "noise = 0.2\nnormalize_mode = standard\nlabel_column = label\n\n"
+    "[output]\nout_dir = runs/default\nmetrics_format = csv\ntiming = False\n"
+)
+
+
+def test_default_ini_is_pinned():
+    # Every default and the key order, as config.ini records them.
+    assert config_to_ini(make_config()) == DEFAULT_INI
+
+
+def test_readme_config_block_lists_every_key_with_its_default(tmp_path):
+    text = open(README).read()
+    block = re.search(r"### Config format.*?```ini\n(.*?)```", text, re.S).group(1)
+    stripped = "\n".join(re.sub(r"\s+#.*$", "", line) for line in block.splitlines())
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(stripped)
+    assert {s: list(parser[s]) for s in parser.sections()} == {s: list(keys) for s, keys in SCHEMA.items()}
+    path = tmp_path / "readme.ini"
+    path.write_text(stripped)
+    assert load_config(path) == make_config()

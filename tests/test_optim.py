@@ -8,7 +8,6 @@ from grassopt.errors import NumericalError, PreconditionError
 from grassopt.optim import (
     AdamGHyper,
     EuclideanHyper,
-    EuclideanSgdState,
     LrSchedule,
     SgdGHyper,
     adamg_update,
@@ -181,8 +180,7 @@ def test_unit_norm_and_tangency_persist():
 
 def test_euclidean_fixed_point_without_decay():
     w = np.array([1.0, -2.0])
-    state = EuclideanSgdState.init(w, EuclideanHyper(weight_decay=0.0))
-    w2, _ = euclidean_sgd_step(w, np.zeros(2), state, 0.1)
+    w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, EuclideanHyper(weight_decay=0.0))
     assert np.array_equal(w2, w)
 
 
@@ -190,16 +188,15 @@ def test_euclidean_weight_decay_effective_gradient():
     # With zero gradient, zero velocity and no momentum, one step moves by lr * wd * w.
     w = np.array([4.0, -8.0])
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
-    w2, state2 = euclidean_sgd_step(w, np.zeros(2), EuclideanSgdState.init(w, hyper), 0.1)
-    assert state2.velocity == pytest.approx(0.0005 * w, abs=1e-18)
+    w2, v2 = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper)
+    assert v2 == pytest.approx(0.0005 * w, abs=1e-18)
     assert w2 == pytest.approx(w - 0.1 * 0.0005 * w, abs=1e-18)
 
 
 def test_euclidean_decay_flag_disables_term():
     w = np.array([4.0, -8.0])
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
-    w2, _ = euclidean_sgd_step(w, np.zeros(2), EuclideanSgdState.init(w, hyper), 0.1,
-                               apply_weight_decay=False)
+    w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper, apply_weight_decay=False)
     assert np.array_equal(w2, w)
 
 
@@ -219,9 +216,9 @@ def _scalar_recurrence_oracle(momentum, nesterov, lr, steps):
 def test_euclidean_matches_scalar_recurrence_oracle():
     hyper = EuclideanHyper(momentum=0.9, weight_decay=0.0, nesterov=True)
     w = np.array([1.0])
-    state = EuclideanSgdState.init(w, hyper)
+    v = np.zeros(1)
     for expected in _scalar_recurrence_oracle(0.9, True, 0.1, 100):
-        w, state = euclidean_sgd_step(w, w.copy(), state, 0.1)
+        w, v = euclidean_sgd_step(w, w.copy(), v, 0.1, hyper)
         assert w[0] == expected
     assert 0.5 * w[0] ** 2 < 1e-6  # converged
 
@@ -231,10 +228,10 @@ def test_euclidean_monotone_descent_without_momentum():
     # decrease f monotonically.
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0, nesterov=False)
     w = np.array([1.0])
-    state = EuclideanSgdState.init(w, hyper)
+    v = np.zeros(1)
     previous = 0.5 * float(w @ w)
     for _ in range(100):
-        w, state = euclidean_sgd_step(w, w.copy(), state, 0.1)
+        w, v = euclidean_sgd_step(w, w.copy(), v, 0.1, hyper)
         current = 0.5 * float(w @ w)
         assert current < previous
         previous = current

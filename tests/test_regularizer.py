@@ -6,7 +6,6 @@ from grassopt.errors import PreconditionError
 from grassopt.regularizer import (
     LayerColumns,
     complexity_loss,
-    complexity_loss_full,
     descent_check,
     ortho_grad,
     ortho_loss,
@@ -127,33 +126,6 @@ def test_complexity_loss_minimized_by_orthonormalization():
             ly = complexity_loss(LayerColumns(y, 0.1, sigma))
             lq = complexity_loss(LayerColumns(q, 0.1, sigma))
             assert lq <= ly
-
-
-def test_complexity_full_zero_for_identical_gaussians():
-    # p=0 and sigma^2 = alpha make posterior and prior coincide.
-    layer = LayerColumns(np.zeros((4, 0)), alpha=0.01, sigma=0.1)
-    assert complexity_loss_full(layer) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_complexity_full_constant_term():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        n, p = 8, 3
-        layer = LayerColumns(_unit_columns(n, p, rng), alpha=0.1, sigma=1e-2)
-        diff = complexity_loss_full(layer) - complexity_loss(layer)
-        expected = (layer.sigma**2 * n + p) / (2.0 * layer.alpha) - n
-        assert diff == pytest.approx(expected, rel=1e-9)
-
-
-def test_complexity_full_monotone_agreement():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        n, p = 8, 3
-        y1 = LayerColumns(_unit_columns(n, p, rng), alpha=0.1, sigma=1e-2)
-        y2 = LayerColumns(_unit_columns(n, p, rng), alpha=0.1, sigma=1e-2)
-        full_sign = np.sign(complexity_loss_full(y1) - complexity_loss_full(y2))
-        reduced_sign = np.sign(complexity_loss(y1) - complexity_loss(y2))
-        assert full_sign == reduced_sign
 
 
 def test_descent_check_zero_at_orthonormal():
