@@ -175,39 +175,40 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
 class _ColumnObjective:
     """Full training objective (CE loss + ortho penalty) as a function of one unit column."""
 
-    def __init__(self, trainer: Trainer, ref, batch_x, batch_y):
+    def __init__(self, trainer: Trainer, layer_index: int, column: int, batch_x, batch_y):
         self.trainer = trainer
-        self.ref = ref
+        self.layer_index = layer_index
+        self.column = column
         self.batch_x = batch_x
         self.batch_y = batch_y
-        self.wname = trainer.net.layers[ref.layer_index].weight_name
+        self.wname = trainer.net.layers[layer_index].weight_name
 
     def _matrix(self):
-        return self.trainer.net.layers[self.ref.layer_index].weight_matrix()
+        return self.trainer.net.layers[self.layer_index].weight_matrix()
 
     def f(self, y: np.ndarray) -> float:
         wm = self._matrix()
-        saved = wm[:, self.ref.column].copy()
-        wm[:, self.ref.column] = y
+        saved = wm[:, self.column].copy()
+        wm[:, self.column] = y
         try:
             logits, _ = self.trainer.net.forward(self.batch_x, training=True)
             loss, _ = softmax_ce(logits, self.batch_y)
             return loss + self.trainer.ortho_total()
         finally:
-            wm[:, self.ref.column] = saved
+            wm[:, self.column] = saved
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         wm = self._matrix()
-        saved = wm[:, self.ref.column].copy()
-        wm[:, self.ref.column] = y
+        saved = wm[:, self.column].copy()
+        wm[:, self.column] = y
         try:
             _, grads, _ = self.trainer.net.loss_and_grads(self.batch_x, self.batch_y, training=True)
-            g = grads[self.ref.layer_index][self.wname].reshape(wm.shape)[:, self.ref.column].copy()
+            g = grads[self.layer_index][self.wname].reshape(wm.shape)[:, self.column].copy()
             lc = LayerColumns(wm, self.trainer.alpha)
-            g += regularizer.ortho_grad(lc)[:, self.ref.column]
+            g += regularizer.ortho_grad(lc)[:, self.column]
             return g
         finally:
-            wm[:, self.ref.column] = saved
+            wm[:, self.column] = saved
 
 
 def network_checkpoint_objectives(seed=0, checkpoints=20, steps_between=5):
@@ -216,14 +217,15 @@ def network_checkpoint_objectives(seed=0, checkpoints=20, steps_between=5):
     ds = normalize(gen_blobs(seed, n_per_class=40, classes=3, dim=12, spread=0.6))
     net = build_mlp(12, (6, 4), 3, rng)
     trainer = Trainer(net, "sgd-g", rng=rng, alpha=0.1)
+    columns = [(s.layer_index, j) for s in trainer.layer_states for j in range(s.tau.shape[1])]
     batch = (ds.train_x[:32], ds.train_y[:32])
     objectives = []
     for c in range(checkpoints):
         for _ in range(steps_between):
             trainer.train_epoch(ds.train_x, ds.train_y, 32, 0.2, 0.01)
-        ref = trainer.partition.points[c % len(trainer.partition.points)]
-        wm = trainer.net.layers[ref.layer_index].weight_matrix()
-        objectives.append((_ColumnObjective(trainer, ref, *batch), wm[:, ref.column].copy()))
+        k, j = columns[c % len(columns)]
+        wm = trainer.net.layers[k].weight_matrix()
+        objectives.append((_ColumnObjective(trainer, k, j, *batch), wm[:, j].copy()))
     return objectives
 
 

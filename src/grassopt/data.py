@@ -30,14 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Train/test features and integer labels with optional normalization stats."""
+    """Train/test features and integer labels."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     num_classes: int
-    stats: dict | None = None
 
     def __post_init__(self):
         for name, labels in (("train", self.train_y), ("test", self.test_y)):
@@ -235,8 +234,8 @@ def load_idx(path, num_classes: int | None = None) -> Dataset:
 def load_csv(path, schema) -> Dataset:
     """Load a headered CSV into the training split.
 
-    ``schema`` requires ``label`` (column name) and ``num_classes``; an
-    optional ``features`` list restricts and orders the feature columns.
+    ``schema`` requires ``label`` (column name) and ``num_classes``; every
+    other column is a feature, in header order.
     """
     label_col = schema["label"]
     num_classes = int(schema["num_classes"])
@@ -248,11 +247,7 @@ def load_csv(path, schema) -> Dataset:
             raise ParseError(f"{path}: empty file (no header row) at line 1") from None
         if label_col not in header:
             raise ValidationError(f"{path}: label column {label_col!r} not in header {header}")
-        feature_cols = schema.get("features") or [c for c in header if c != label_col]
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: feature columns {missing} not in header")
-        idx = [header.index(c) for c in feature_cols]
+        idx = [header.index(c) for c in header if c != label_col]
         label_idx = header.index(label_col)
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -289,8 +284,7 @@ def normalize(ds: Dataset, mode: str = "standard") -> Dataset:
     read when computing statistics.
     """
     if mode == "intensity":
-        stats = {"mode": "intensity", "scale": 255.0}
-        return replace(ds, train_x=ds.train_x / 255.0, test_x=ds.test_x / 255.0, stats=stats)
+        return replace(ds, train_x=ds.train_x / 255.0, test_x=ds.test_x / 255.0)
     if mode != "standard":
         raise PreconditionError(f"unknown normalization mode {mode!r}")
     if ds.train_x.shape[0] == 0:
@@ -300,7 +294,6 @@ def normalize(ds: Dataset, mode: str = "standard") -> Dataset:
     if np.any(std < _ZERO_VAR_EPS):
         warnings.warn("zero-variance feature(s) stabilized during normalization", stacklevel=2)
     safe_std = np.where(std < _ZERO_VAR_EPS, 1.0, std)
-    stats = {"mode": "standard", "mean": mean, "std": safe_std}
     train = (ds.train_x - mean) / safe_std
     test = (ds.test_x - mean) / safe_std if ds.test_x.size else ds.test_x
-    return replace(ds, train_x=train, test_x=test, stats=stats)
+    return replace(ds, train_x=train, test_x=test)

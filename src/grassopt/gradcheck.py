@@ -40,17 +40,6 @@ class FdReport:
     def passed(self, tol: float) -> bool:
         return self.max_rel_error < tol
 
-    def format(self) -> str:
-        lines = [
-            f"max_rel_error = {self.max_rel_error:.3e} (worst index {self.worst_index})",
-            f"{'index':>6} {'analytic':>16} {'numeric':>16} {'rel_error':>12}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.index:>6} {row.analytic:>16.8e} {row.numeric:>16.8e} {row.rel_error:>12.3e}"
-            )
-        return "\n".join(lines)
-
 
 def _report_from_pairs(pairs) -> FdReport:
     rows = tuple(FdRow(i, a, n, rel_error(a, n)) for i, (a, n) in enumerate(pairs))

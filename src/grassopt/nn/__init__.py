@@ -6,7 +6,6 @@ from .network import (
     EuclideanRef,
     Network,
     Partition,
-    PointRef,
     build_convnet,
     build_mlp,
     build_network,
@@ -23,7 +22,6 @@ __all__ = [
     "softmax_ce",
     "Network",
     "Partition",
-    "PointRef",
     "EuclideanRef",
     "partition_parameters",
     "build_mlp",

@@ -8,9 +8,10 @@ saved ones.
 
 Format version 1 stores Grassmann state per point (column): the momentum of
 point ``i`` is the array ``point{i}.tau`` and its Adam-G scalars are entry
-``i`` of the header's ``point_scalars``. The trainer holds that state per
-layer; saving slices each layer's momentum matrix into its columns and
-loading puts them back together.
+``i`` of the header's ``point_scalars``. Points are numbered over the
+Grassmann layers in order and the columns in order within each, so a layer
+owns one contiguous block of indices. The trainer holds that state per
+layer, and only this module knows the per-column layout.
 
 A save writes a temporary file beside the target, syncs it to disk and
 renames it over the target, so an interrupted save or a crash leaves the
@@ -45,17 +46,21 @@ def _layer_arrays(net):
             yield f"layer{k}.running_var", layer.running_var
 
 
+def _points(trainer):
+    """Format 1's points as ``(layer, column, n)``: layers in order, then columns in order."""
+    return [
+        (s.layer_index, j, s.tau.shape[0]) for s in trainer.layer_states for j in range(s.tau.shape[1])
+    ]
+
+
 def save_checkpoint(path, trainer: Trainer) -> None:
     arrays = dict(_layer_arrays(trainer.net))
     states = {s.layer_index: s for s in trainer.layer_states}
+    adam = trainer.optimizer == "adam-g"
     point_scalars = []
-    for i, ref in enumerate(trainer.partition.points):
-        state = states[ref.layer_index]
-        arrays[f"point{i}.tau"] = state.tau[:, ref.column]
-        if trainer.optimizer == "adam-g":
-            point_scalars.append({"v": float(state.v[ref.column]), "t": state.t})
-        else:
-            point_scalars.append({})
+    for i, (k, j, _) in enumerate(_points(trainer)):
+        arrays[f"point{i}.tau"] = states[k].tau[:, j]
+        point_scalars.append({"v": float(states[k].v[j]), "t": states[k].t} if adam else {})
     for i, velocity in enumerate(trainer.velocities):
         arrays[f"euclid{i}.velocity"] = velocity
 
@@ -71,7 +76,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "sgdg_hyper": vars(trainer.sgdg_hyper),
         "adamg_hyper": vars(trainer.adamg_hyper),
         "partition": {
-            "points": [[ref.layer_index, ref.column, ref.dim] for ref in trainer.partition.points],
+            "points": _points(trainer),
             "euclidean": [[ref.layer_index, ref.name, ref.group] for ref in trainer.partition.euclidean],
             "grassmann_layers": list(trainer.partition.grassmann_layers),
         },
@@ -142,7 +147,7 @@ def load_checkpoint(path) -> Trainer:
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a hyper or layer check failed too
         raise ValidationError(f"checkpoint header is invalid: {exc!r}") from None
 
-    actual_points = [(r.layer_index, r.column, r.dim) for r in trainer.partition.points]
+    actual_points = _points(trainer)
     actual_euclid = [(r.layer_index, r.name, r.group) for r in trainer.partition.euclidean]
     if saved_points != actual_points or saved_euclid != actual_euclid:
         raise ValidationError("checkpoint partition map does not match the rebuilt network")
@@ -159,15 +164,13 @@ def load_checkpoint(path) -> Trainer:
             layer.running_mean[...] = _array(arrays, f"layer{k}.running_mean", layer.running_mean.shape)
             layer.running_var[...] = _array(arrays, f"layer{k}.running_var", layer.running_var.shape)
 
-    points_of = {}
-    for i, ref in enumerate(trainer.partition.points):
-        points_of.setdefault(ref.layer_index, []).append((i, ref.column))
+    first = 0  # the layer's columns are points first, first + 1, ..., first + p - 1
     for state in trainer.layer_states:
         wm = net.layers[state.layer_index].weight_matrix()
-        points = [i for i, _ in points_of[state.layer_index]]
+        n, p = wm.shape
         tau = np.empty_like(wm)
-        for i, column in points_of[state.layer_index]:
-            tau[:, column] = _array(arrays, f"point{i}.tau", (wm.shape[0],))
+        for j in range(p):
+            tau[:, j] = _array(arrays, f"point{first + j}.tau", (n,))
         try:
             manifold.require_unit(wm, f"layer {state.layer_index} columns")
             manifold.require_tangent(wm, tau, f"layer {state.layer_index} momentum")
@@ -175,11 +178,13 @@ def load_checkpoint(path) -> Trainer:
             raise ValidationError(f"checkpoint: {exc}") from None
         state.base, state.tau = wm.copy(), tau
         if adam:
-            steps = {point_scalars[i]["t"] for i in points}
+            scalars = point_scalars[first : first + p]
+            steps = {s["t"] for s in scalars}
             if len(steps) != 1:
                 raise ValidationError(f"layer {state.layer_index} points have different step counts {steps}")
-            state.v = np.array([float(point_scalars[i]["v"]) for i in points])
+            state.v = np.array([float(s["v"]) for s in scalars])
             state.t = int(steps.pop())
+        first += p
 
     for i, velocity in enumerate(trainer.velocities):
         velocity[...] = _array(arrays, f"euclid{i}.velocity", velocity.shape)

@@ -2,9 +2,9 @@
 
 A weight matrix is partitioned onto Grassmann manifolds exactly when it feeds
 a batch-normalization layer and is under-complete (more inputs than outputs);
-each of its columns then becomes one point on G(1, n). Everything else
-(biases, BN offsets/scales, over-complete or BN-free matrices) stays
-Euclidean.
+each of its p columns is then one point on G(1, n), and the whole matrix one
+point on G(1, n)^p. Everything else (biases, BN offsets/scales, over-complete
+or BN-free matrices) stays Euclidean.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ from .layers import (
 
 __all__ = [
     "Network",
-    "PointRef",
     "EuclideanRef",
     "Partition",
     "partition_parameters",
@@ -33,15 +32,6 @@ __all__ = [
     "build_convnet",
     "build_network",
 ]
-
-
-@dataclass(frozen=True)
-class PointRef:
-    """One Grassmann point: column ``column`` of the weight matrix of layer ``layer_index``."""
-
-    layer_index: int
-    column: int
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +45,14 @@ class EuclideanRef:
 
 @dataclass(frozen=True)
 class Partition:
-    points: tuple[PointRef, ...]
+    """The Euclidean parameters, and the BN-fed layers whose weight columns are Grassmann points.
+
+    A layer in ``grassmann_layers`` is held whole: the p columns of its
+    n-by-p weight matrix are p points on G(1, n), stepped and stored per layer.
+    """
+
     euclidean: tuple[EuclideanRef, ...]
-    grassmann_layers: tuple[int, ...]  # layers whose whole weight matrix is column-partitioned
+    grassmann_layers: tuple[int, ...]
 
 
 class Network:
@@ -129,10 +124,10 @@ def partition_parameters(net: Network) -> Partition:
     """Assign every trainable array to the Grassmann or Euclidean side.
 
     The under-complete rule: a Dense/Conv weight matrix whose unrolled form is
-    n-by-p with n > p and whose immediate successor is a BN layer contributes
-    p Grassmann points of dimension n; everything else is Euclidean.
+    n-by-p with n > p and whose immediate successor is a BN layer is a
+    Grassmann layer, its p columns being points on G(1, n); everything else
+    is Euclidean.
     """
-    points: list[PointRef] = []
     euclid: list[EuclideanRef] = []
     gmats: list[int] = []
     layers = net.layers
@@ -142,7 +137,6 @@ def partition_parameters(net: Network) -> Partition:
             feeds_bn = k + 1 < len(layers) and isinstance(layers[k + 1], BatchNormLayer)
             if feeds_bn and wm.shape[0] > wm.shape[1]:
                 gmats.append(k)
-                points.extend(PointRef(k, j, wm.shape[0]) for j in range(wm.shape[1]))
             else:
                 euclid.append(EuclideanRef(k, layer.weight_name, "weight"))
             if isinstance(layer, DenseLayer) and layer.bias is not None:
@@ -151,7 +145,7 @@ def partition_parameters(net: Network) -> Partition:
             euclid.append(EuclideanRef(k, "offset", "bn"))
             if layer.scale_trainable:
                 euclid.append(EuclideanRef(k, "scale", "bn"))
-    return Partition(tuple(points), tuple(euclid), tuple(gmats))
+    return Partition(tuple(euclid), tuple(gmats))
 
 
 def _fan_in_init(n_in, n_out, rng):

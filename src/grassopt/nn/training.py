@@ -125,16 +125,15 @@ class Trainer:
         self.decay_groups = {"weight": True, "bias": True, "bn": bool(bn_weight_decay)}
 
         full = partition_parameters(net)
+        self.ortho_layers = full.grassmann_layers  # the sgd baseline reports their penalty too
         if optimizer == "sgd":
             # Baseline: every parameter is Euclidean, including BN-feeding matrices.
             extra = tuple(
                 EuclideanRef(k, net.layers[k].weight_name, "weight") for k in full.grassmann_layers
             )
-            self.partition = Partition((), full.euclidean + extra, ())
-            self.ortho_layers = full.grassmann_layers  # reported, not optimized
+            self.partition = Partition(full.euclidean + extra, ())
         else:
             self.partition = full
-            self.ortho_layers = full.grassmann_layers
 
         self.layer_states = [
             LayerState.init(k, net.layers[k].weight_matrix()) for k in self.partition.grassmann_layers

@@ -86,6 +86,14 @@ class EuclideanHyper:
     weight_decay: float = 0.0005
     nesterov: bool = True
 
+    def __post_init__(self):
+        if self.eta <= 0.0:
+            raise PreconditionError(f"eta must be positive, got {self.eta}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise PreconditionError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0.0:
+            raise PreconditionError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+
 
 @dataclass(frozen=True)
 class LrSchedule:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import manifold, numerics
 from .errors import PreconditionError
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "complexity_loss",
     "descent_check",
 ]
-
-_UNIT_COL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +51,7 @@ class LayerColumns:
         if self.sigma <= 0.0:
             raise PreconditionError(f"sigma must be positive, got {self.sigma}")
         if p > 0:
-            col_norms = np.linalg.norm(y, axis=0)
-            worst = float(np.max(np.abs(col_norms - 1.0)))
-            if not np.isfinite(worst) or worst > _UNIT_COL_TOL:
-                raise PreconditionError(
-                    f"columns must be unit norm within {_UNIT_COL_TOL}, worst deviation {worst}"
-                )
+            manifold.require_unit(y, "columns")
 
     @property
     def n(self) -> int:

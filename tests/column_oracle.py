@@ -4,7 +4,8 @@ Every BN-fed column is stepped on its own, with the scalar formulas of
 SGD-G and Adam-G written out again in plain numpy, so the oracle shares no
 Grassmann code with the program. Orthogonality gradient, Euclidean updates
 and BN statistics go through the same program calls as
-``Trainer.train_step``. Per-point state is ``{"tau", "v", "t"}``.
+``Trainer.train_step``. Per-point state is ``{"tau", "v", "t"}``, keyed by
+``(layer, column)``.
 """
 
 import math
@@ -67,9 +68,10 @@ class ColumnOracle:
 
     def __init__(self, trainer):
         self.trainer = trainer
-        self.points = [
-            {"tau": np.zeros(ref.dim), "v": 0.0, "t": 0} for ref in trainer.partition.points
-        ]
+        self.points = {}
+        for k in trainer.partition.grassmann_layers:
+            n, p = trainer.net.layers[k].weight_matrix().shape
+            self.points.update({(k, j): {"tau": np.zeros(n), "v": 0.0, "t": 0} for j in range(p)})
 
     def train_step(self, bx, by, lr_g, lr_e):
         tr = self.trainer
@@ -80,15 +82,15 @@ class ColumnOracle:
                 lc = LayerColumns(net.layers[k].weight_matrix(), tr.alpha)
                 gname = net.layers[k].weight_name
                 grads[k][gname] = grads[k][gname] + ortho_grad(lc).reshape(grads[k][gname].shape)
-        for i, ref in enumerate(tr.partition.points):
-            wm = net.layers[ref.layer_index].weight_matrix()
-            g = grads[ref.layer_index][net.layers[ref.layer_index].weight_name].reshape(wm.shape)
-            y = wm[:, ref.column].copy()
+        for (k, j), point in self.points.items():
+            wm = net.layers[k].weight_matrix()
+            g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
+            y = wm[:, j].copy()
             if tr.optimizer == "sgd-g":
-                y_new, self.points[i] = sgdg_column(y, g[:, ref.column], self.points[i], lr_g, tr.sgdg_hyper)
+                y_new, self.points[k, j] = sgdg_column(y, g[:, j], point, lr_g, tr.sgdg_hyper)
             else:
-                y_new, self.points[i] = adamg_column(y, g[:, ref.column], self.points[i], lr_g, tr.adamg_hyper)
-            wm[:, ref.column] = y_new
+                y_new, self.points[k, j] = adamg_column(y, g[:, j], point, lr_g, tr.adamg_hyper)
+            wm[:, j] = y_new
         for ref, velocity in zip(tr.partition.euclidean, tr.velocities):
             arr = tr._param(ref)
             arr[...], velocity[...] = optim.euclidean_sgd_step(

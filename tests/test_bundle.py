@@ -62,10 +62,11 @@ def test_bundle_step_matches_per_column_oracle(build, optimizer):
     for a, b in zip(_net_arrays(bundled.net), _net_arrays(oracle.trainer.net)):
         assert np.max(np.abs(a - b)) <= 1e-14
     states = {s.layer_index: s for s in bundled.layer_states}
-    for ref, point in zip(bundled.partition.points, oracle.points):
-        state = states[ref.layer_index]
-        assert np.max(np.abs(state.tau[:, ref.column] - point["tau"])) <= 1e-14
-        assert abs(state.v[ref.column] - point["v"]) <= 1e-14
+    assert len(oracle.points) == sum(s.tau.shape[1] for s in bundled.layer_states)
+    for (k, j), point in oracle.points.items():
+        state = states[k]
+        assert np.max(np.abs(state.tau[:, j] - point["tau"])) <= 1e-14
+        assert abs(state.v[j] - point["v"]) <= 1e-14
         assert state.t == point["t"]
     assert all(s.t == (25 if optimizer == "adam-g" else 0) for s in bundled.layer_states)
 
@@ -333,6 +334,9 @@ def _with_header(src, dst, edit):
 
 @pytest.mark.parametrize("section, key, value", [
     ("sgdg_hyper", "nu", -1.0),
+    ("euclid_hyper", "eta", -5.0),
+    ("euclid_hyper", "momentum", -1.0),
+    ("euclid_hyper", "weight_decay", -2.0),
     ("net_meta", "bn_eps", 0.0),
     ("net_meta", "kind", "rnn"),
 ])

@@ -10,7 +10,9 @@ import pytest
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-@pytest.mark.parametrize("module", ["grassopt", "grassopt.manifold", "grassopt.optim", "grassopt.numerics"])
+@pytest.mark.parametrize("module", [
+    "grassopt", "grassopt.manifold", "grassopt.optim", "grassopt.numerics", "grassopt.nn", "grassopt.regularizer",
+])
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert len(set(mod.__all__)) == len(mod.__all__)

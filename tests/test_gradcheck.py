@@ -3,7 +3,7 @@ import pytest
 
 from grassopt import checks, manifold
 from grassopt.errors import DimensionError, NumericalError, PreconditionError
-from grassopt.gradcheck import FdReport, fd_gradient, rel_error, riemannian_fd_check
+from grassopt.gradcheck import fd_gradient, rel_error, riemannian_fd_check
 
 
 def _unit(n, rng):
@@ -97,20 +97,6 @@ def test_riemannian_check_requires_a_unit_vector():
         riemannian_fd_check(lambda pt: 0.0, lambda pt: np.zeros(2), np.array([1.0, 1.0]))
     with pytest.raises(DimensionError):
         riemannian_fd_check(lambda pt: 0.0, lambda pt: np.zeros((2, 1)), np.array([[1.0], [0.0]]))
-
-
-def test_report_format_contains_rows_and_worst():
-    rng = np.random.default_rng(4)
-    y = _unit(5, rng)
-    report = riemannian_fd_check(
-        lambda pt: float(pt[0]) ** 2, lambda pt: np.eye(5)[0] * 2 * pt[0], y,
-        trials=3, rng=rng,
-    )
-    text = report.format()
-    assert "max_rel_error" in text
-    assert "analytic" in text
-    assert len(text.splitlines()) == 2 + len(report.rows)
-    assert isinstance(report, FdReport)
 
 
 def test_fd_gradient_matches_bn_network_backprop():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from grassopt.nn import (
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
+    EuclideanRef,
     Network,
     ReluLayer,
     Trainer,
@@ -475,35 +477,34 @@ def test_forward_scale_invariance_of_partitioned_columns():
     x = rng.standard_normal((16, 6))
     part = partition_parameters(net)
     base, _ = net.forward(x, training=True)
-    ref = part.points[1]
-    wm = net.layers[ref.layer_index].weight_matrix()
-    saved = wm[:, ref.column].copy()
+    assert part.grassmann_layers == (0,)
+    wm = net.layers[0].weight_matrix()
+    saved = wm[:, 1].copy()
     for k in (0.5, 3.0, 100.0):
-        wm[:, ref.column] = k * saved
+        wm[:, 1] = k * saved
         out, _ = net.forward(x, training=True)
         assert np.max(np.abs(out - base)) < 1e-10
     # negative scaling flips the pre-activation sign
-    wm[:, ref.column] = -saved
+    wm[:, 1] = -saved
     dense_out, _ = net.layers[0].forward(x, training=True)
-    wm[:, ref.column] = saved
+    wm[:, 1] = saved
     dense_base, _ = net.layers[0].forward(x, training=True)
-    assert np.max(np.abs(dense_out[:, ref.column] + dense_base[:, ref.column])) < 1e-12
+    assert np.max(np.abs(dense_out[:, 1] + dense_base[:, 1])) < 1e-12
 
 
 def test_partition_under_complete_dense():
     rng = np.random.default_rng(11)
     net = Network([DenseLayer(rng.standard_normal((8, 4))), BatchNormLayer(4), ReluLayer()])
     part = partition_parameters(net)
-    assert len(part.points) == 4
-    assert all(ref.dim == 8 for ref in part.points)
     assert part.grassmann_layers == (0,)
+    assert part.euclidean == (EuclideanRef(1, "offset", "bn"), EuclideanRef(1, "scale", "bn"))
 
 
 def test_partition_over_complete_dense_stays_euclidean():
     rng = np.random.default_rng(12)
     net = Network([DenseLayer(rng.standard_normal((4, 8))), BatchNormLayer(8), ReluLayer()])
     part = partition_parameters(net)
-    assert len(part.points) == 0
+    assert part.grassmann_layers == ()
     e = sum(net.layers[ref.layer_index].params()[ref.name].size for ref in part.euclidean)
     assert e == 4 * 8 + 8 + 8  # weights + offset + scale
 
@@ -512,7 +513,7 @@ def test_partition_final_dense_euclidean():
     rng = np.random.default_rng(13)
     net = Network([DenseLayer(rng.standard_normal((8, 3)), bias=np.zeros(3))])
     part = partition_parameters(net)
-    assert len(part.points) == 0
+    assert part.grassmann_layers == ()
     assert {ref.name for ref in part.euclidean} == {"W", "bias"}
 
 
@@ -520,7 +521,7 @@ def test_partition_totality():
     rng = np.random.default_rng(14)
     net = build_mlp(10, (6, 4), 3, rng)
     part = partition_parameters(net)
-    g = sum(ref.dim for ref in part.points)
+    g = sum(net.layers[k].weight_matrix().size for k in part.grassmann_layers)
     e = sum(net.layers[ref.layer_index].params()[ref.name].size for ref in part.euclidean)
     total = sum(p.size for layer in net.layers for p in layer.params().values())
     assert g + e == total
@@ -531,18 +532,17 @@ def test_partition_counts_conv_unrolled():
     net = build_convnet((1, 8, 8), 3, rng, channels=(4, 8))
     part = partition_parameters(net)
     # conv1: 9 > 4 -> 4 points of dim 9; conv2: 36 > 8 -> 8 points of dim 36
-    dims = sorted(set(ref.dim for ref in part.points))
-    assert dims == [9, 36]
-    assert len(part.points) == 12
+    assert [net.layers[k].weight_matrix().shape for k in part.grassmann_layers] == [(9, 4), (36, 8)]
 
 
 def test_grassmann_columns_initialized_unit():
     rng = np.random.default_rng(16)
     net = build_mlp(12, (6,), 3, rng)
     part = partition_parameters(net)
-    for ref in part.points:
-        wm = net.layers[ref.layer_index].weight_matrix()
-        assert abs(np.linalg.norm(wm[:, ref.column]) - 1.0) < 1e-12
+    assert part.grassmann_layers == (0,)
+    for k in part.grassmann_layers:
+        norms = np.linalg.norm(net.layers[k].weight_matrix(), axis=0)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 # ------------------------------------------------------------------ trainer
@@ -592,9 +592,10 @@ def test_train_step_preserves_unit_columns():
     x, labels = _toy_data(rng, dim=8)
     for _ in range(20):
         trainer.train_step(x, labels, 0.05, 0.01)
-    for ref in trainer.partition.points:
-        wm = net.layers[ref.layer_index].weight_matrix()
-        assert abs(np.linalg.norm(wm[:, ref.column]) - 1.0) < 1e-9
+    assert trainer.partition.grassmann_layers == (0, 3)
+    for k in trainer.partition.grassmann_layers:
+        norms = np.linalg.norm(net.layers[k].weight_matrix(), axis=0)
+        assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
 def test_training_is_deterministic_for_fixed_seed():
@@ -614,7 +615,7 @@ def test_baseline_sgd_treats_everything_euclidean():
     rng = np.random.default_rng(20)
     net = build_mlp(6, (4,), 3, rng)
     trainer = Trainer(net, "sgd", rng=rng)
-    assert len(trainer.partition.points) == 0
+    assert trainer.partition.grassmann_layers == () and trainer.layer_states == []
     x, labels = _toy_data(rng)
     trainer.train_step(x, labels, 0.0, 0.01)  # lr_g unused
     wm = net.layers[0].weight_matrix()
@@ -644,6 +645,16 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(path, trainer)
     restored = load_checkpoint(path)
 
+    # Format 1's layout: point i is column j of Grassmann layer k, over the
+    # layers in order and the columns in order within each layer.
+    points = [[0, j, 6] for j in range(4)] + [[3, j, 4] for j in range(3)]
+    states = {s.layer_index: s for s in trainer.layer_states}
+    with np.load(path) as archive:
+        assert json.loads(bytes(archive["__header__"]).decode())["partition"]["points"] == points
+        assert sum(name.startswith("point") for name in archive.files) == len(points)
+        for i, (k, j, _) in enumerate(points):
+            assert archive[f"point{i}.tau"].tobytes() == states[k].tau[:, j].tobytes()
+
     for layer, rlayer in zip(net.layers, restored.net.layers):
         for name, param in layer.params().items():
             assert np.array_equal(param, rlayer.params()[name]), name
@@ -659,9 +670,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert s.v.tobytes() == r.v.tobytes() and s.t == r.t == 5
     for s, r in zip(trainer.velocities, restored.velocities):
         assert np.array_equal(s, r)
-    assert [tuple(vars(p).values()) for p in trainer.partition.points] == [
-        tuple(vars(p).values()) for p in restored.partition.points
-    ]
 
     # the restored trainer continues identically
     s1 = trainer.train_step(x, labels, 0.05, 0.01)

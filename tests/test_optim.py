@@ -259,3 +259,5 @@ def test_hyper_validation():
         SgdGHyper(gamma=1.0)
     with pytest.raises(PreconditionError):
         AdamGHyper(nu=0.0)
+    with pytest.raises(PreconditionError):
+        EuclideanHyper(momentum=1.0)
