@@ -16,7 +16,6 @@ import numpy as np
 from . import gradcheck, manifold, regularizer
 from .data import gen_blobs, normalize
 from .nn import Trainer, build_mlp
-from .nn.layers import softmax_ce
 from .regularizer import LayerColumns
 
 __all__ = ["CheckResult", "run_manifold_suite", "run_regularizer_suite",
@@ -173,7 +172,7 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
 
 
 class _ColumnObjective:
-    """Full training objective (CE loss + ortho penalty) as a function of one unit column."""
+    """The trainer's objective (CE loss + ortho penalty) as a function of one unit column."""
 
     def __init__(self, trainer: Trainer, layer_index: int, column: int, batch_x, batch_y):
         self.trainer = trainer
@@ -186,29 +185,23 @@ class _ColumnObjective:
     def _matrix(self):
         return self.trainer.net.layers[self.layer_index].weight_matrix()
 
-    def f(self, y: np.ndarray) -> float:
+    def _objective_at(self, y: np.ndarray):
+        """``Trainer.objective`` on the batch, with the column set to ``y``."""
         wm = self._matrix()
         saved = wm[:, self.column].copy()
         wm[:, self.column] = y
         try:
-            logits, _ = self.trainer.net.forward(self.batch_x, training=True)
-            loss, _ = softmax_ce(logits, self.batch_y)
-            return loss + self.trainer.ortho_total()
+            return self.trainer.objective(self.batch_x, self.batch_y)
         finally:
             wm[:, self.column] = saved
 
+    def f(self, y: np.ndarray) -> float:
+        loss, penalty, _, _ = self._objective_at(y)
+        return loss + penalty
+
     def grad(self, y: np.ndarray) -> np.ndarray:
-        wm = self._matrix()
-        saved = wm[:, self.column].copy()
-        wm[:, self.column] = y
-        try:
-            _, grads, _ = self.trainer.net.loss_and_grads(self.batch_x, self.batch_y, training=True)
-            g = grads[self.layer_index][self.wname].reshape(wm.shape)[:, self.column].copy()
-            lc = LayerColumns(wm, self.trainer.alpha)
-            g += regularizer.ortho_grad(lc)[:, self.column]
-            return g
-        finally:
-            wm[:, self.column] = saved
+        grads = self._objective_at(y)[2]
+        return grads[self.layer_index][self.wname].reshape(self._matrix().shape)[:, self.column]
 
 
 def network_checkpoint_objectives(seed=0, checkpoints=20, steps_between=5):

@@ -10,10 +10,10 @@ section, converter and default; ``SCHEMA`` is derived from those fields.
 import configparser
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .nn.layers import BN_EPS, BN_MOMENTUM
 from .nn.training import ORTHO_ALPHA
-from .optim import OPTIMIZERS, AdamGHyper, EuclideanHyper, SgdGHyper, default_eta_g
+from .optim import OPTIMIZERS, AdamGHyper, EuclideanHyper, LrSchedule, SgdGHyper, default_eta_g
 
 __all__ = ["TrainConfig", "SCHEMA", "load_config", "make_config", "config_to_ini"]
 
@@ -115,20 +115,12 @@ class TrainConfig:
             )
         if self.eta_g is None:
             object.__setattr__(self, "eta_g", default_eta_g(self.optimizer))
-        for name in ("eta_e", "eta_g", "nu"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.alpha < 0 or self.weight_decay < 0:
-            raise ConfigError("alpha and weight_decay must be nonnegative")
-        if not 0 < self.factor <= 1:
-            raise ConfigError(f"factor must be in (0, 1], got {self.factor}")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ConfigError(f"milestones must be strictly increasing, got {self.milestones}")
+        try:  # the hyperparameter and schedule objects check their own values
+            self.optimizer_objects()
+        except PreconditionError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 2:
@@ -142,6 +134,16 @@ class TrainConfig:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.dataset in ("idx", "csv") and not self.data_path:
             raise ConfigError(f"dataset {self.dataset!r} requires data_path")
+
+    def optimizer_objects(self):
+        """The run's ``(euclid, sgdg, adamg, schedule_e, schedule_g)``; each checks its own values."""
+        return (
+            EuclideanHyper(eta=self.eta_e, weight_decay=self.weight_decay, nesterov=self.nesterov),
+            SgdGHyper(eta=self.eta_g, gamma=self.gamma, nu=self.nu),
+            AdamGHyper(eta=self.eta_g, beta1=self.beta1, beta2=self.beta2, nu=self.nu),
+            LrSchedule(self.eta_e, self.milestones, self.factor),
+            LrSchedule(self.eta_g, self.milestones, self.factor),
+        )
 
 
 # section -> key -> (converter, default), in field order

@@ -235,7 +235,8 @@ def load_csv(path, schema) -> Dataset:
     """Load a headered CSV into the training split.
 
     ``schema`` requires ``label`` (column name) and ``num_classes``; every
-    other column is a feature, in header order.
+    other column is a feature, in header order. A header that repeats a column
+    name raises :class:`ValidationError`.
     """
     label_col = schema["label"]
     num_classes = int(schema["num_classes"])
@@ -247,7 +248,10 @@ def load_csv(path, schema) -> Dataset:
             raise ParseError(f"{path}: empty file (no header row) at line 1") from None
         if label_col not in header:
             raise ValidationError(f"{path}: label column {label_col!r} not in header {header}")
-        idx = [header.index(c) for c in header if c != label_col]
+        if len(set(header)) < len(header):
+            repeated = next(c for i, c in enumerate(header) if c in header[:i])
+            raise ValidationError(f"{path}: header repeats column {repeated!r}")
+        idx = [i for i, c in enumerate(header) if c != label_col]
         label_idx = header.index(label_col)
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):

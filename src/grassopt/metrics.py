@@ -1,23 +1,9 @@
 """Per-epoch metrics records and the append-only CSV / JSONL writers."""
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 __all__ = ["METRIC_FIELDS", "MetricsRecord", "MetricsWriter"]
-
-METRIC_FIELDS = (
-    "epoch",
-    "step",
-    "train_loss",
-    "train_acc",
-    "test_loss",
-    "test_acc",
-    "ortho_loss_total",
-    "mean_step_angle_radians",
-    "lr_e",
-    "lr_g",
-    "wall_time",
-)
 
 
 @dataclass(frozen=True)
@@ -41,6 +27,9 @@ class MetricsRecord:
 
     def json_line(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
+
+
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsRecord))  # the CSV header, in order
 
 
 def _fmt(value) -> str:

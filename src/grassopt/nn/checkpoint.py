@@ -157,12 +157,8 @@ def load_checkpoint(path) -> Trainer:
     )):
         raise ValidationError("checkpoint point_scalars do not match the partition")
 
-    for k, layer in enumerate(net.layers):
-        for name, arr in layer.params().items():
-            arr[...] = _array(arrays, f"layer{k}.{name}", arr.shape)
-        if isinstance(layer, BatchNormLayer):
-            layer.running_mean[...] = _array(arrays, f"layer{k}.running_mean", layer.running_mean.shape)
-            layer.running_var[...] = _array(arrays, f"layer{k}.running_var", layer.running_var.shape)
+    for name, arr in _layer_arrays(net):
+        arr[...] = _array(arrays, name, arr.shape)
 
     first = 0  # the layer's columns are points first, first + 1, ..., first + p - 1
     for state in trainer.layer_states:

@@ -94,7 +94,7 @@ class Trainer:
     ``euclid``, ``sgdg`` and ``adamg`` are the hyperparameters of the
     Euclidean baseline and of the two Grassmann optimizers; only the one
     that ``optimizer`` names moves the Grassmann layers. ``alpha`` is the
-    orthogonality penalty's strength. ``bn_weight_decay=None`` resolves to
+    orthogonality penalty's strength, at least 0. ``bn_weight_decay=None`` resolves to
     the per-optimizer default: the Euclidean baseline decays BN
     offsets/scales, the Grassmann optimizers do not.
     """
@@ -113,6 +113,8 @@ class Trainer:
     ):
         if optimizer not in OPTIMIZERS:
             raise PreconditionError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
+        if alpha < 0:
+            raise PreconditionError(f"alpha must be nonnegative, got {alpha}")
         self.net = net
         self.optimizer = optimizer
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -156,19 +158,29 @@ class Trainer:
             total += ortho_loss(LayerColumns(cols, self.alpha if self.alpha > 0 else 1.0))
         return total
 
-    def train_step(self, bx, by, lr_g: float, lr_e: float) -> StepStats:
+    def objective(self, bx, by):
+        """The objective a step descends on one batch: ``(loss, penalty, grads, caches)``.
+
+        ``loss`` is the cross-entropy and ``penalty`` the orthogonality penalty
+        of the Grassmann layers; ``grads`` holds the ambient gradients of their
+        sum, and ``caches`` the forward caches a step commits BN statistics from.
+        """
         net = self.net
         loss, grads, caches = net.loss_and_grads(bx, by, training=True)
-
-        ortho_total = 0.0
-        if self.optimizer in GRASSMANN_OPTIMIZERS and self.alpha > 0:
-            for k in self.partition.grassmann_layers:
+        penalty = 0.0
+        if self.alpha > 0:
+            for k in self.partition.grassmann_layers:  # none for the sgd baseline
                 lc = LayerColumns(net.layers[k].weight_matrix(), self.alpha)
                 gram = lc.Y.T @ lc.Y
-                ortho_total += ortho_loss(lc, gram)
+                penalty += ortho_loss(lc, gram)
                 gname = net.layers[k].weight_name
                 # The backward's gradient is a fresh array: add the penalty's in place.
                 grads[k][gname] += ortho_grad(lc, gram).reshape(grads[k][gname].shape)
+        return loss, penalty, grads, caches
+
+    def train_step(self, bx, by, lr_g: float, lr_e: float) -> StepStats:
+        net = self.net
+        loss, ortho_total, grads, caches = self.objective(bx, by)
 
         # Compute (and check) every update first; write only once all succeeded.
         grassmann = []

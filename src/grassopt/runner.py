@@ -16,7 +16,7 @@ from .data import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, normalize
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsRecord, MetricsWriter
 from .nn import Trainer, build_convnet, build_mlp, save_checkpoint
-from .optim import AdamGHyper, EuclideanHyper, LrSchedule, SgdGHyper, schedule_lr
+from .optim import schedule_lr
 
 __all__ = ["OUTPUT_DIR_ENV", "build_dataset", "build_model", "run_training", "run_compare"]
 
@@ -74,26 +74,22 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
     identical configs produce byte-identical metrics files (enable ``timing``
     to record real wall time instead of 0.0, which breaks that).
     """
-    out_dir = out_dir or resolve_out_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
-        fh.write(config_to_ini(cfg))
-
+    euclid, sgdg, adamg, schedule_e, schedule_g = cfg.optimizer_objects()
     ds = build_dataset(cfg)
     rng = np.random.default_rng(cfg.seed)
     net = build_model(cfg, ds, rng)
     train_x = _features_for(cfg, ds.train_x)
     test_x = _features_for(cfg, ds.test_x)
     trainer = Trainer(
-        net, cfg.optimizer, rng=rng,
-        euclid=EuclideanHyper(eta=cfg.eta_e, weight_decay=cfg.weight_decay, nesterov=cfg.nesterov),
-        sgdg=SgdGHyper(eta=cfg.eta_g, gamma=cfg.gamma, nu=cfg.nu),
-        adamg=AdamGHyper(eta=cfg.eta_g, beta1=cfg.beta1, beta2=cfg.beta2, nu=cfg.nu),
+        net, cfg.optimizer, rng=rng, euclid=euclid, sgdg=sgdg, adamg=adamg,
         alpha=cfg.alpha, bn_weight_decay=cfg.bn_weight_decay,
     )
 
-    schedule_e = LrSchedule(cfg.eta_e, cfg.milestones, cfg.factor)
-    schedule_g = LrSchedule(cfg.eta_g, cfg.milestones, cfg.factor)
+    # Every value has been checked by now: nothing is written for a refused run.
+    out_dir = out_dir or resolve_out_dir(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+        fh.write(config_to_ini(cfg))
 
     metrics_name = "metrics.csv" if cfg.metrics_format == "csv" else "metrics.jsonl"
     metrics_path = os.path.join(out_dir, metrics_name)

@@ -349,6 +349,15 @@ def test_bad_header_value_raises_validation_error(tmp_path, section, key, value)
         load_checkpoint(bad)
 
 
+def test_negative_alpha_in_header_raises_validation_error(tmp_path):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header.__setitem__("alpha", -5.0))
+    with pytest.raises(ValidationError, match="alpha must be nonnegative"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_restores_every_hyperparameter(tmp_path):
     hypers = {
         "euclid": optim.EuclideanHyper(eta=0.03, momentum=0.5, weight_decay=0.001, nesterov=False),

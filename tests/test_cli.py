@@ -24,7 +24,10 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
     code, out = _train(tmp_path, "run")
     assert code == 0
     lines = (open(os.path.join(out, "metrics.csv"))).read().splitlines()
-    assert lines[0] == ",".join(METRIC_FIELDS)
+    assert lines[0] == (  # the header the README documents
+        "epoch,step,train_loss,train_acc,test_loss,test_acc,ortho_loss_total,"
+        "mean_step_angle_radians,lr_e,lr_g,wall_time"
+    )
     assert len(lines) == 1 + 3  # header + initial eval + 2 epochs
     trainer = load_checkpoint(os.path.join(out, "checkpoint.npz"))
     assert trainer.optimizer == "sgd-g"
@@ -92,6 +95,25 @@ def test_train_bad_widths_are_config_errors(tmp_path, capsys, flags, key):
     assert err.startswith(f"error: {key} ")
     assert "Traceback" not in err
     assert not out.exists()  # refused before any output is written
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bn_momentum", "2"],
+    ["--bn_eps", "0"],
+    ["--n_per_class", "0"],
+    ["--dim", "0"],
+    ["--dataset", "spirals", "--noise", "-1"],
+    ["--alpha", "-1"],
+    ["--seed", "-1"],
+])
+def test_train_refuses_bad_values_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "refused"
+    code = cli.main(["train", "--out_dir", str(out), "--epochs", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_runtime_abort_exit_2_and_last_good_checkpoint(tmp_path):

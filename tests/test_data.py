@@ -193,6 +193,15 @@ def test_load_csv_non_numeric_names_line(tmp_path):
         load_csv(path, {"label": "label", "num_classes": 2})
 
 
+@pytest.mark.parametrize("header", ["a,a,label", "a,label,label"])
+def test_load_csv_refuses_repeated_column(tmp_path, header):
+    path = tmp_path / "dup.csv"
+    path.write_text(f"{header}\n1.0,2.0,0\n3.0,4.0,1\n")
+    repeated = "label" if header.endswith("label,label") else "a"
+    with pytest.raises(ValidationError, match=f"repeats column '{repeated}'"):
+        load_csv(path, {"label": "label", "num_classes": 2})
+
+
 # ------------------------------------------------------------ normalization
 
 def test_normalize_standardizes_train_split():

@@ -131,3 +131,14 @@ def test_full_network_objective_release_gate():
     by_name = {r.name: r for r in results}
     assert by_name["bn_network_objective"].passed
     assert by_name["quadratic_objective"].worst < 1e-5
+
+
+def test_network_objective_gradcheck_sees_the_trainers_penalty_gradient(monkeypatch):
+    # The check differentiates Trainer.objective, so a wrong penalty gradient in training fails it.
+    from grassopt.nn import training
+
+    real_ortho_grad = training.ortho_grad
+    monkeypatch.setattr(training, "ortho_grad", lambda lc, gram=None: 3.0 * real_ortho_grad(lc, gram))
+    results = checks.run_gradcheck_suite(seed=0, checkpoints=5)
+    by_name = {r.name: r for r in results}
+    assert not by_name["bn_network_objective"].passed
