@@ -10,7 +10,7 @@ from .optim import (
     schedule_lr,
     sgdg_update,
 )
-from .regularizer import LayerColumns, complexity_loss, descent_check, ortho_grad, ortho_loss
+from .regularizer import complexity_loss, descent_check, ortho_grad, ortho_loss
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "adamg_update",
     "euclidean_sgd_step",
     "schedule_lr",
-    "LayerColumns",
     "ortho_loss",
     "ortho_grad",
     "complexity_loss",

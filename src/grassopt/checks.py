@@ -15,8 +15,8 @@ import numpy as np
 
 from . import gradcheck, manifold, regularizer
 from .data import gen_blobs, normalize
+from .errors import PreconditionError
 from .nn import Trainer, build_mlp
-from .regularizer import LayerColumns
 
 __all__ = ["CheckResult", "run_manifold_suite", "run_regularizer_suite",
            "run_gradcheck_suite", "run_all", "format_report"]
@@ -124,16 +124,16 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
     for _ in range(fd_instances):
         n = int(rng.choice([4, 8]))
         p = int(rng.integers(2, n))  # p = 1 has an exactly-zero gradient, nothing to compare
-        layer = LayerColumns(_unit_columns(n, p, rng), alpha=0.1)
-        analytic = regularizer.ortho_grad(layer).ravel()
+        y = _unit_columns(n, p, rng)
+        analytic = regularizer.ortho_grad(y, 0.1).ravel()
 
-        def loss_flat(flat, shape=(n, p), alpha=layer.alpha):
+        def loss_flat(flat, shape=(n, p), alpha=0.1):
             y = flat.reshape(shape)
             gram = y.T @ y
             off = gram - np.eye(shape[1])
             return 0.5 * alpha * float(np.sum(off * off))
 
-        numeric = gradcheck.fd_gradient(loss_flat, layer.Y.ravel(), eps=1e-6)
+        numeric = gradcheck.fd_gradient(loss_flat, y.ravel(), eps=1e-6)
         # Vector-relative: per-coordinate ratios blow up on near-zero entries.
         scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
@@ -148,8 +148,8 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
             p = int(rng.integers(1, n))
             y = _unit_columns(n, p, rng)
             q = np.linalg.qr(y)[0][:, :p]
-            lc_y = regularizer.complexity_loss(LayerColumns(y, 0.1, sigma))
-            lc_q = regularizer.complexity_loss(LayerColumns(q, 0.1, sigma))
+            lc_y = regularizer.complexity_loss(y, 0.1, sigma)
+            lc_q = regularizer.complexity_loss(q, 0.1, sigma)
             worst_gap = max(worst_gap, lc_q - lc_y)
     results.append(
         CheckResult("regularizer", "orthonormal_minimum", worst_gap <= 0.0, worst_gap, 0.0, count)
@@ -160,10 +160,9 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
         n = int(rng.choice([4, 8, 32]))
         p = int(rng.integers(1, n))
         y = _unit_columns(n, p, rng)
-        layer = LayerColumns(y, alpha=0.1)
-        if np.linalg.matrix_rank(layer.Y) < p:
+        if np.linalg.matrix_rank(y) < p:
             continue
-        worst_ip = min(worst_ip, regularizer.descent_check(layer, int(rng.integers(p))))
+        worst_ip = min(worst_ip, regularizer.descent_check(y, 0.1, int(rng.integers(p))))
     results.append(
         CheckResult("regularizer", "descent_direction", worst_ip >= -1e-8, worst_ip, -1e-8,
                     descent_instances)
@@ -258,6 +257,8 @@ def run_gradcheck_suite(seed=0, checkpoints=20) -> list[CheckResult]:
 
 
 def run_all(seed=0) -> list[CheckResult]:
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     results = run_manifold_suite(seed)
     results += run_regularizer_suite(seed)
     results += run_gradcheck_suite(seed)

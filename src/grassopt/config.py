@@ -59,6 +59,19 @@ def _key(section, converter, default):
     return field(default=default, metadata={"section": section, "converter": converter})
 
 
+def _named_rate(key, hyper, **values):
+    """``hyper(**values)``, with a refused ``eta`` reported under its config key ``key``.
+
+    The hyper objects' messages start with the field's name, and every other
+    field's name is its config key.
+    """
+    try:
+        return hyper(**values)
+    except PreconditionError as exc:
+        text = str(exc)
+        raise PreconditionError(key + text[len("eta"):] if text.startswith("eta ") else text) from None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Fully resolved training configuration; each field is one config key."""
@@ -138,9 +151,11 @@ class TrainConfig:
     def optimizer_objects(self):
         """The run's ``(euclid, sgdg, adamg, schedule_e, schedule_g)``; each checks its own values."""
         return (
-            EuclideanHyper(eta=self.eta_e, weight_decay=self.weight_decay, nesterov=self.nesterov),
-            SgdGHyper(eta=self.eta_g, gamma=self.gamma, nu=self.nu),
-            AdamGHyper(eta=self.eta_g, beta1=self.beta1, beta2=self.beta2, nu=self.nu),
+            _named_rate("eta_e", EuclideanHyper, eta=self.eta_e, weight_decay=self.weight_decay,
+                        nesterov=self.nesterov),
+            _named_rate("eta_g", SgdGHyper, eta=self.eta_g, gamma=self.gamma, nu=self.nu),
+            _named_rate("eta_g", AdamGHyper, eta=self.eta_g, beta1=self.beta1, beta2=self.beta2,
+                        nu=self.nu),
             LrSchedule(self.eta_e, self.milestones, self.factor),
             LrSchedule(self.eta_g, self.milestones, self.factor),
         )

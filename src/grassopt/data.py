@@ -69,7 +69,6 @@ def gen_blobs(
     classes: int = 3,
     dim: int = 2,
     spread: float = 0.5,
-    test_per_class: int | None = None,
 ) -> Dataset:
     """Gaussian blobs around well-separated class centers.
 
@@ -82,7 +81,6 @@ def gen_blobs(
         raise PreconditionError("need n_per_class > 0, classes >= 2, dim >= 1")
     rng = np.random.default_rng(seed)
     centers = _split_blob_centers(classes, dim)
-    n_test = test_per_class if test_per_class is not None else max(1, n_per_class // 4)
 
     def draw(count):
         xs, ys = [], []
@@ -92,7 +90,7 @@ def gen_blobs(
         return np.concatenate(xs), np.concatenate(ys)
 
     train_x, train_y = draw(n_per_class)
-    test_x, test_y = draw(n_test)
+    test_x, test_y = draw(max(1, n_per_class // 4))
     return Dataset(train_x, train_y, test_x, test_y, classes)
 
 

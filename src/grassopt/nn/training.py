@@ -20,7 +20,7 @@ from .. import optim
 from ..errors import PreconditionError
 from ..manifold import angle_columns, require_unit
 from ..optim import GRASSMANN_OPTIMIZERS, OPTIMIZERS
-from ..regularizer import LayerColumns, ortho_grad, ortho_loss
+from ..regularizer import ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
 
 __all__ = [
@@ -55,11 +55,9 @@ class LayerState:
 @dataclass
 class StepStats:
     loss: float
-    ortho_loss: float
     mean_angle: float
     max_angle: float
     max_sgdg_contribution: float
-    max_grad_norm: float
 
 
 @dataclass
@@ -69,7 +67,6 @@ class EpochStats:
     angle_sum: float = 0.0
     max_angle: float = 0.0
     max_sgdg_contribution: float = 0.0
-    max_grad_norm: float = 0.0
 
     def add(self, s: StepStats) -> None:
         self.steps += 1
@@ -77,7 +74,6 @@ class EpochStats:
         self.angle_sum += s.mean_angle
         self.max_angle = max(self.max_angle, s.max_angle)
         self.max_sgdg_contribution = max(self.max_sgdg_contribution, s.max_sgdg_contribution)
-        self.max_grad_norm = max(self.max_grad_norm, s.max_grad_norm)
 
     @property
     def mean_angle(self) -> float:
@@ -149,13 +145,14 @@ class Trainer:
         """Summed orthogonality penalty over partition-eligible matrices.
 
         Columns are normalized first so the quantity is defined for the
-        baseline as well (where norms drift away from one).
+        baseline as well (where norms drift away from one). With ``alpha`` 0
+        the sum is taken at strength 1, so it still measures orthogonality.
         """
+        strength = self.alpha if self.alpha > 0 else 1.0
         total = 0.0
         for k in self.ortho_layers:
             wm = self.net.layers[k].weight_matrix()
-            cols = wm / np.linalg.norm(wm, axis=0)
-            total += ortho_loss(LayerColumns(cols, self.alpha if self.alpha > 0 else 1.0))
+            total += ortho_loss(wm / np.linalg.norm(wm, axis=0), strength)
         return total
 
     def objective(self, bx, by):
@@ -170,23 +167,23 @@ class Trainer:
         penalty = 0.0
         if self.alpha > 0:
             for k in self.partition.grassmann_layers:  # none for the sgd baseline
-                lc = LayerColumns(net.layers[k].weight_matrix(), self.alpha)
-                gram = lc.Y.T @ lc.Y
-                penalty += ortho_loss(lc, gram)
+                # Unit columns are the update's precondition, checked there once per step.
+                wm = net.layers[k].weight_matrix()
+                gram = wm.T @ wm
+                penalty += ortho_loss(wm, self.alpha, gram)
                 gname = net.layers[k].weight_name
                 # The backward's gradient is a fresh array: add the penalty's in place.
-                grads[k][gname] += ortho_grad(lc, gram).reshape(grads[k][gname].shape)
+                grads[k][gname] += ortho_grad(wm, self.alpha, gram).reshape(grads[k][gname].shape)
         return loss, penalty, grads, caches
 
     def train_step(self, bx, by, lr_g: float, lr_e: float) -> StepStats:
         net = self.net
-        loss, ortho_total, grads, caches = self.objective(bx, by)
+        loss, _, grads, caches = self.objective(bx, by)
 
         # Compute (and check) every update first; write only once all succeeded.
         grassmann = []
         angles = []
         max_contrib = 0.0
-        max_grad = 0.0
         for state in self.layer_states:
             k = state.layer_index
             wm = net.layers[k].weight_matrix()
@@ -204,7 +201,6 @@ class Trainer:
                     wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, base=state.base
                 )
                 t_new = state.t + 1
-            max_grad = max(max_grad, float(np.sqrt(np.einsum("ij,ij->j", g, g).max())))
             angles.append(angle_columns(wm, y_new))
             grassmann.append((state, wm, y_new, tau_new, v_new, t_new))
 
@@ -212,7 +208,6 @@ class Trainer:
         for i, ref in enumerate(self.partition.euclidean):
             arr = self._param(ref)
             g = grads[ref.layer_index][ref.name]
-            max_grad = max(max_grad, float(np.linalg.norm(g.ravel())))
             new, v_new = optim.euclidean_sgd_step(
                 arr, g, self.velocities[i], lr_e, self.euclid_hyper, self.decay_groups[ref.group]
             )
@@ -232,11 +227,9 @@ class Trainer:
         angles_arr = np.concatenate(angles) if angles else np.zeros(1)
         return StepStats(
             loss=loss,
-            ortho_loss=ortho_total,
             mean_angle=float(angles_arr.mean()),
             max_angle=float(angles_arr.max()),
             max_sgdg_contribution=max_contrib,
-            max_grad_norm=max_grad,
         )
 
     def train_epoch(self, x, labels, batch_size: int, lr_g: float, lr_e: float) -> EpochStats:

@@ -16,7 +16,7 @@ from .data import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, normalize
 from .errors import ConfigError, ValidationError
 from .metrics import MetricsRecord, MetricsWriter
 from .nn import Trainer, build_convnet, build_mlp, save_checkpoint
-from .optim import schedule_lr
+from .optim import OPTIMIZERS, schedule_lr
 
 __all__ = ["OUTPUT_DIR_ENV", "build_dataset", "build_model", "run_training", "run_compare"]
 
@@ -142,12 +142,18 @@ def run_compare(config_path, overrides, optimizers, runs: int = 5, out_dir: str 
     """Run each optimizer over seeds ``base_seed + i`` and summarize medians.
 
     Returns (summary_csv_text, per_run_rows). The median is the lower order
-    statistic (the 3rd of 5 runs). Data without a test split (CSV, or IDX
-    without the ``t10k`` files) raises :class:`ValidationError` before any
-    training, since there is no test error to compare.
+    statistic (the 3rd of 5 runs). ``runs`` below 1 and an empty or unknown
+    optimizer name raise :class:`ConfigError`, and data without a test split
+    (CSV, or IDX without the ``t10k`` files) :class:`ValidationError`, before
+    any training and before any directory is created.
     """
+    if runs < 1:
+        raise ConfigError(f"compare needs runs >= 1, got {runs}")
     if len(optimizers) < 1:
         raise ConfigError("compare needs at least one optimizer name")
+    unknown = [n for n in optimizers if n not in OPTIMIZERS]
+    if unknown:
+        raise ConfigError(f"unknown optimizer name {unknown[0]!r}, expected one of {OPTIMIZERS}")
     base_cfg = load_config(config_path, overrides)
     if build_dataset(base_cfg).test_x.shape[0] == 0:
         raise ValidationError(

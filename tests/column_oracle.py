@@ -14,7 +14,7 @@ import numpy as np
 
 from grassopt import optim
 from grassopt.manifold import DEGENERATE_STEP
-from grassopt.regularizer import LayerColumns, ortho_grad
+from grassopt.regularizer import ortho_grad
 
 
 def _exp(y, h):
@@ -79,9 +79,10 @@ class ColumnOracle:
         _, grads, caches = net.loss_and_grads(bx, by, training=True)
         if tr.alpha > 0:
             for k in tr.partition.grassmann_layers:
-                lc = LayerColumns(net.layers[k].weight_matrix(), tr.alpha)
+                wm = net.layers[k].weight_matrix()
                 gname = net.layers[k].weight_name
-                grads[k][gname] = grads[k][gname] + ortho_grad(lc).reshape(grads[k][gname].shape)
+                penalty_grad = ortho_grad(wm, tr.alpha).reshape(grads[k][gname].shape)
+                grads[k][gname] = grads[k][gname] + penalty_grad
         for (k, j), point in self.points.items():
             wm = net.layers[k].weight_matrix()
             g = grads[k][net.layers[k].weight_name].reshape(wm.shape)

@@ -12,7 +12,7 @@ from grassopt.config import make_config
 from grassopt.data import gen_blobs, normalize
 from grassopt.nn import BatchNormLayer, DenseLayer, Trainer, build_mlp
 from grassopt.optim import AdamGHyper, SgdGHyper, adamg_update, default_eta_g, sgdg_update
-from grassopt.regularizer import LayerColumns, complexity_loss, descent_check
+from grassopt.regularizer import complexity_loss, descent_check
 from grassopt.runner import run_compare, run_training
 
 
@@ -113,8 +113,8 @@ def test_criterion_05_complexity_minimum_at_orthonormal():
             p = int(rng.integers(1, n))
             y = _unit_columns(n, p, rng)
             q = np.linalg.qr(y)[0][:, :p]
-            ly = complexity_loss(LayerColumns(y, 0.1, sigma))
-            lq = complexity_loss(LayerColumns(q, 0.1, sigma))
+            ly = complexity_loss(y, 0.1, sigma)
+            lq = complexity_loss(q, 0.1, sigma)
             off = float(np.linalg.norm(y.T @ y - np.eye(p)))
             if lq > ly:
                 ok = False
@@ -129,9 +129,8 @@ def test_criterion_06_descent_direction_property():
     for _ in range(1000):
         n = int(rng.choice([4, 8, 32]))
         p = int(rng.integers(1, n))
-        layer = LayerColumns(_unit_columns(n, p, rng), alpha=0.1)
-        worst = min(worst, descent_check(layer, int(rng.integers(p))))
-    ortho = abs(descent_check(LayerColumns(np.linalg.qr(rng.standard_normal((8, 3)))[0], 0.1), 0))
+        worst = min(worst, descent_check(_unit_columns(n, p, rng), 0.1, int(rng.integers(p))))
+    ortho = abs(descent_check(np.linalg.qr(rng.standard_normal((8, 3)))[0], 0.1, 0))
     print(f"  min inner product over 1000 instances: {worst:.3e}; |orthonormal value| = {ortho:.2e}")
     ok = worst >= -1e-8 and ortho < 1e-8
     _report(6, "descent_check >= -1e-8 on 1000 instances and == 0 at orthonormal Y", ok)

@@ -15,7 +15,7 @@ from grassopt import manifold, optim
 from grassopt.errors import NumericalError, PreconditionError, ValidationError
 from grassopt.nn import BatchNormLayer, Trainer, build_convnet, build_mlp, load_checkpoint, save_checkpoint
 from grassopt.nn import training
-from grassopt.regularizer import LayerColumns, ortho_grad, ortho_loss
+from grassopt.regularizer import ortho_grad, ortho_loss
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -129,13 +129,13 @@ def test_train_step_computes_each_gram_once(monkeypatch):
     seen = []
     real_loss, real_grad = training.ortho_loss, training.ortho_grad
 
-    def loss(layer, gram=None):
+    def loss(y, alpha, gram=None):
         seen.append(("loss", gram))
-        return real_loss(layer, gram)
+        return real_loss(y, alpha, gram)
 
-    def grad(layer, gram=None):
+    def grad(y, alpha, gram=None):
         seen.append(("grad", gram))
-        return real_grad(layer, gram)
+        return real_grad(y, alpha, gram)
 
     monkeypatch.setattr(training, "ortho_loss", loss)
     monkeypatch.setattr(training, "ortho_grad", grad)
@@ -148,10 +148,10 @@ def test_train_step_computes_each_gram_once(monkeypatch):
 def test_shared_gram_gives_bit_identical_penalty():
     rng = np.random.default_rng(32)
     y = rng.standard_normal((40, 12))
-    layer = LayerColumns(y / np.linalg.norm(y, axis=0), alpha=0.1)
-    gram = layer.Y.T @ layer.Y
-    assert ortho_loss(layer, gram) == ortho_loss(layer)
-    assert ortho_grad(layer, gram).tobytes() == ortho_grad(layer).tobytes()
+    y = y / np.linalg.norm(y, axis=0)
+    gram = y.T @ y
+    assert ortho_loss(y, 0.1, gram) == ortho_loss(y, 0.1)
+    assert ortho_grad(y, 0.1, gram).tobytes() == ortho_grad(y, 0.1).tobytes()
 
 
 # ------------------------------------------------------- all-or-nothing step

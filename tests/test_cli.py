@@ -5,6 +5,7 @@ import pytest
 
 from grassopt import checks, cli, manifold, runner
 from grassopt.data import write_idx
+from grassopt.errors import ConfigError
 from grassopt.metrics import METRIC_FIELDS
 from grassopt.nn import load_checkpoint
 
@@ -177,6 +178,24 @@ def test_compare_unknown_optimizer(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_compare_refuses_runs_below_one(tmp_path, capsys, runs):
+    out = tmp_path / "cmp5"
+    code = cli.main(["compare", "--optimizers", "sgd", "--runs", runs, "--out_dir", str(out), *FAST])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: compare needs runs >= 1, got {runs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", [["sgd", "bogus"], []], ids=["unknown", "empty"])
+def test_run_compare_refuses_optimizer_names_before_any_output(tmp_path, names):
+    out = tmp_path / "cmp6"
+    with pytest.raises(ConfigError, match="bogus" if names else "at least one"):
+        runner.run_compare(None, {"epochs": "1", "n_per_class": "20", "dim": "6", "hidden": "4,3",
+                                  "batch_size": "10"}, names, runs=2, out_dir=str(out))
+    assert not out.exists()
+
+
 def _csv_without_test_split(tmp_path):
     """A 60-row, 2-class CSV file: CSV data has a training split only."""
     rng = np.random.default_rng(0)
@@ -211,6 +230,11 @@ def test_train_without_test_split_writes_zero_test_metrics(tmp_path):
 
 def test_check_command_passes():
     assert cli.main(["check"]) == 0
+
+
+def test_check_refuses_negative_seed(capsys):
+    assert cli.main(["check", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_check_reports_per_suite_counts(capsys):

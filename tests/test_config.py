@@ -84,6 +84,13 @@ def test_invariants_enforced():
         make_config(dataset="csv")  # needs data_path
 
 
+@pytest.mark.parametrize("key, optimizer", [("eta_e", "sgd-g"), ("eta_g", "sgd-g"), ("eta_g", "adam-g")])
+def test_refused_rate_names_its_key(key, optimizer):
+    with pytest.raises(ConfigError) as info:
+        make_config(optimizer=optimizer, **{key: 0.0})
+    assert str(info.value) == f"{key} must be positive, got 0.0"
+
+
 def test_bad_value_conversion_named(tmp_path):
     path = tmp_path / "bad3.ini"
     path.write_text("[train]\nepochs = soon\n")

@@ -631,6 +631,22 @@ def test_bn_weight_decay_defaults_per_optimizer():
     assert Trainer(net, "adam-g", rng=rng, bn_weight_decay=True).decay_groups["bn"] is True
 
 
+def test_ortho_total_normalizes_columns_and_uses_unit_strength_at_alpha_zero():
+    # (a/2) sum ||Y^T Y - I||^2 over the column-normalized BN-fed matrices; a = alpha, or 1 at alpha 0.
+    rng = np.random.default_rng(23)
+    net = build_mlp(6, (4, 3), 3, rng)
+    expected = 0.0
+    for k in (0, 3):
+        wm = net.layers[k].weight_matrix()
+        wm *= rng.uniform(0.5, 2.0, wm.shape[1])  # columns off the sphere, as under the sgd baseline
+        y = wm / np.linalg.norm(wm, axis=0)
+        expected += 0.5 * float(np.sum((y.T @ y - np.eye(y.shape[1])) ** 2))
+    at_zero, at_tenth = Trainer(net, "sgd", alpha=0.0), Trainer(net, "sgd", alpha=0.1)
+    assert at_zero.ortho_layers == (0, 3)
+    assert at_zero.ortho_total() == pytest.approx(expected, rel=1e-12)
+    assert at_tenth.ortho_total() == pytest.approx(0.1 * expected, rel=1e-12)
+
+
 # --------------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
