@@ -8,8 +8,11 @@ G(1, n)^p: each such weight matrix moves in one vectorised update, with its
 optimizer state held per layer. The baseline optimizer ("sgd") skips the
 partition and treats every parameter as Euclidean.
 
-A step applies completely or not at all: every update is computed and
-checked before any parameter, optimizer state or BN statistic is written.
+A step applies completely or not at all: every Grassmann update is computed
+and checked, and every Euclidean parameter's inputs are checked, before any
+parameter, optimizer state or BN statistic is written. The commit then copies
+the Grassmann results into place and runs the Euclidean steps, which write
+their parameters and velocities in place.
 """
 
 from dataclasses import dataclass
@@ -204,14 +207,10 @@ class Trainer:
             angles.append(angle_columns(wm, y_new))
             grassmann.append((state, wm, y_new, tau_new, v_new, t_new))
 
-        euclid = []
-        for i, ref in enumerate(self.partition.euclidean):
-            arr = self._param(ref)
-            g = grads[ref.layer_index][ref.name]
-            new, v_new = optim.euclidean_sgd_step(
-                arr, g, self.velocities[i], lr_e, self.euclid_hyper, self.decay_groups[ref.group]
-            )
-            euclid.append((arr, new, v_new))
+        # The Euclidean step writes in place, so only its inputs are checked here.
+        euclid = list(zip(self.partition.euclidean, self.velocities))
+        for ref, velocity in euclid:
+            optim._check_euclidean_inputs(self._param(ref), grads[ref.layer_index][ref.name], velocity)
 
         # Copied into the existing buffers, so long-lived arrays are not reallocated every step.
         for state, wm, y_new, tau_new, v_new, t_new in grassmann:
@@ -219,9 +218,11 @@ class Trainer:
             state.base[...] = y_new
             state.tau[...] = tau_new
             state.v, state.t = v_new, t_new
-        for i, (arr, new, v_new) in enumerate(euclid):
-            arr[...] = new
-            self.velocities[i] = v_new
+        for ref, velocity in euclid:
+            optim.euclidean_sgd_step(
+                self._param(ref), grads[ref.layer_index][ref.name], velocity, lr_e,
+                self.euclid_hyper, self.decay_groups[ref.group],
+            )
         net.apply_running_updates(caches)
 
         angles_arr = np.concatenate(angles) if angles else np.zeros(1)

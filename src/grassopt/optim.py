@@ -210,6 +210,30 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
     return y_new, tau_new, v_new, h_norm
 
 
+def _check_euclidean_inputs(w, g, velocity):
+    """Preconditions of the Euclidean step; returns ``g`` as a float array.
+
+    The step writes ``w`` and ``velocity`` in place, so both must be writable
+    float64 arrays; it may add the decay term into ``g``, so ``g`` must be
+    writable too; and none of the three may overlap another.
+    """
+    for name, a in (("parameter", w), ("velocity", velocity)):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable):
+            raise PreconditionError(f"{name} must be a writable float64 array")
+    g = np.asarray(g, dtype=np.float64)
+    if not g.flags.writeable:
+        raise PreconditionError("gradient must be writable")
+    if w.shape != g.shape:
+        raise PreconditionError(f"parameter shape {w.shape} != gradient shape {g.shape}")
+    if velocity.shape != w.shape:
+        raise PreconditionError(f"velocity shape {velocity.shape} != parameter shape {w.shape}")
+    if np.may_share_memory(w, velocity) or np.may_share_memory(g, w) or np.may_share_memory(g, velocity):
+        raise PreconditionError("parameter, gradient and velocity must not share memory")
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite gradient for a Euclidean parameter")
+    return g
+
+
 def euclidean_sgd_step(
     w: np.ndarray,
     g: np.ndarray,
@@ -218,23 +242,32 @@ def euclidean_sgd_step(
     hyper: EuclideanHyper,
     apply_weight_decay: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step with (optionally Nesterov) momentum on a Euclidean parameter.
+    """One SGD step with (optionally Nesterov) momentum on a Euclidean parameter, in place.
 
     The L2 term ``weight_decay * w`` is folded into the gradient before the
-    momentum update. Arrays of any shape are accepted; the velocity mirrors
-    the parameter's shape. Nothing is modified in place. Returns ``(w', v')``,
-    the new parameter and velocity.
+    momentum update::
+
+        g' = g + weight_decay * w
+        v' = momentum * v + g'
+        w' = w - lr * (g' + momentum * v')   (Nesterov; else w - lr * v')
+
+    Arrays of any shape are accepted; the velocity mirrors the parameter's
+    shape. ``w`` and ``velocity`` are written in place, and ``g`` receives the
+    decay term when it applies; every input is checked before anything is
+    written. Returns ``(w, velocity)``, the objects it was given.
     """
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if w.shape != g.shape:
-        raise PreconditionError(f"parameter shape {w.shape} != gradient shape {g.shape}")
-    if velocity.shape != w.shape:
-        raise PreconditionError(f"velocity shape {velocity.shape} != parameter shape {w.shape}")
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite gradient for a Euclidean parameter")
+    g = _check_euclidean_inputs(w, g, velocity)
+    tmp = np.empty_like(w)
     if apply_weight_decay and hyper.weight_decay != 0.0:
-        g = g + hyper.weight_decay * w
-    v = hyper.momentum * velocity + g
-    update = g + hyper.momentum * v if hyper.nesterov else v
-    return w - lr * update, v
+        np.multiply(w, hyper.weight_decay, out=tmp)
+        g += tmp
+    velocity *= hyper.momentum
+    velocity += g
+    if hyper.nesterov:
+        np.multiply(velocity, hyper.momentum, out=tmp)
+        tmp += g
+        tmp *= lr
+    else:
+        np.multiply(velocity, lr, out=tmp)
+    w -= tmp
+    return w, velocity

@@ -142,8 +142,8 @@ def run_compare(config_path, overrides, optimizers, runs: int = 5, out_dir: str 
     """Run each optimizer over seeds ``base_seed + i`` and summarize medians.
 
     Returns (summary_csv_text, per_run_rows). The median is the lower order
-    statistic (the 3rd of 5 runs). ``runs`` below 1 and an empty or unknown
-    optimizer name raise :class:`ConfigError`, and data without a test split
+    statistic (the 3rd of 5 runs). ``runs`` below 1 and an empty, unknown or
+    repeated optimizer name raise :class:`ConfigError`, and data without a test split
     (CSV, or IDX without the ``t10k`` files) :class:`ValidationError`, before
     any training and before any directory is created.
     """
@@ -154,6 +154,9 @@ def run_compare(config_path, overrides, optimizers, runs: int = 5, out_dir: str 
     unknown = [n for n in optimizers if n not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"unknown optimizer name {unknown[0]!r}, expected one of {OPTIMIZERS}")
+    repeated = [n for i, n in enumerate(optimizers) if n in optimizers[:i]]
+    if repeated:
+        raise ConfigError(f"optimizer name {repeated[0]!r} is given more than once")
     base_cfg = load_config(config_path, overrides)
     if build_dataset(base_cfg).test_x.shape[0] == 0:
         raise ValidationError(

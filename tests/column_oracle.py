@@ -93,9 +93,8 @@ class ColumnOracle:
                 y_new, self.points[k, j] = adamg_column(y, g[:, j], point, lr_g, tr.adamg_hyper)
             wm[:, j] = y_new
         for ref, velocity in zip(tr.partition.euclidean, tr.velocities):
-            arr = tr._param(ref)
-            arr[...], velocity[...] = optim.euclidean_sgd_step(
-                arr, grads[ref.layer_index][ref.name], velocity, lr_e, tr.euclid_hyper,
+            optim.euclidean_sgd_step(
+                tr._param(ref), grads[ref.layer_index][ref.name], velocity, lr_e, tr.euclid_hyper,
                 apply_weight_decay=tr.decay_groups[ref.group],
             )
         net.apply_running_updates(caches)

@@ -190,6 +190,34 @@ def test_non_finite_gradient_leaves_everything_unchanged(monkeypatch, optimizer,
     assert _snapshot(trainer) == before
 
 
+def test_wrong_dtype_velocity_is_refused_before_any_write():
+    rng = np.random.default_rng(35)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), "sgd")
+    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    trainer.train_step(x, labels, 0.2, 0.01)
+    trainer.velocities[-1] = trainer.velocities[-1].astype(np.float32)
+    before = _snapshot(trainer)
+    with pytest.raises(PreconditionError, match="velocity must be a writable float64 array"):
+        trainer.train_step(x, labels, 0.2, 0.01)
+    assert _snapshot(trainer) == before
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-g", "adam-g"])
+def test_euclidean_step_keeps_parameter_and_velocity_objects(optimizer):
+    # load_checkpoint writes velocities through velocity[...], so they must stay the trainer's arrays.
+    rng = np.random.default_rng(36)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    params = [trainer._param(ref) for ref in trainer.partition.euclidean]
+    velocities = list(trainer.velocities)
+    before = [a.copy() for a in params]
+    for _ in range(3):
+        trainer.train_step(x, labels, optim.default_eta_g(optimizer), 0.01)
+    assert all(a is trainer._param(ref) for a, ref in zip(params, trainer.partition.euclidean))
+    assert all(a is b for a, b in zip(velocities, trainer.velocities))
+    assert all(not np.array_equal(a, b) for a, b in zip(params, before))  # the steps did move them
+
+
 def test_step_refuses_state_of_other_columns():
     trainer, (x, labels) = _trained()
     w = trainer.net.layers[3].W

@@ -196,6 +196,23 @@ def test_run_compare_refuses_optimizer_names_before_any_output(tmp_path, names):
     assert not out.exists()
 
 
+def test_compare_refuses_repeated_optimizer(tmp_path, capsys):
+    out = tmp_path / "cmp7"
+    code = cli.main(["compare", "--optimizers", "sgd,sgd", "--runs", "1", "--out_dir", str(out), *FAST])
+    assert code == 1
+    assert capsys.readouterr().err == "error: optimizer name 'sgd' is given more than once\n"
+    assert not out.exists()
+
+
+def test_run_compare_refuses_repeated_optimizer_before_any_output(tmp_path, monkeypatch):
+    out = tmp_path / "cmp8"
+    monkeypatch.setattr(runner, "build_dataset", lambda cfg: pytest.fail("dataset built"))
+    with pytest.raises(ConfigError, match="'adam-g' is given more than once"):
+        runner.run_compare(None, {"epochs": "1", "n_per_class": "20", "dim": "6", "hidden": "4,3",
+                                  "batch_size": "10"}, ["adam-g", "sgd", "adam-g"], runs=1, out_dir=str(out))
+    assert not out.exists()
+
+
 def _csv_without_test_split(tmp_path):
     """A 60-row, 2-class CSV file: CSV data has a training split only."""
     rng = np.random.default_rng(0)

@@ -180,24 +180,91 @@ def test_unit_norm_and_tangency_persist():
 
 def test_euclidean_fixed_point_without_decay():
     w = np.array([1.0, -2.0])
+    before = w.copy()
     w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, EuclideanHyper(weight_decay=0.0))
-    assert np.array_equal(w2, w)
+    assert np.array_equal(w2, before)
 
 
 def test_euclidean_weight_decay_effective_gradient():
     # With zero gradient, zero velocity and no momentum, one step moves by lr * wd * w.
     w = np.array([4.0, -8.0])
+    before = w.copy()
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
     w2, v2 = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper)
-    assert v2 == pytest.approx(0.0005 * w, abs=1e-18)
-    assert w2 == pytest.approx(w - 0.1 * 0.0005 * w, abs=1e-18)
+    assert v2 == pytest.approx(0.0005 * before, abs=1e-18)
+    assert w2 == pytest.approx(before - 0.1 * 0.0005 * before, abs=1e-18)
+    assert not np.array_equal(w2, before)
 
 
 def test_euclidean_decay_flag_disables_term():
     w = np.array([4.0, -8.0])
+    before = w.copy()
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
     w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper, apply_weight_decay=False)
-    assert np.array_equal(w2, w)
+    assert np.array_equal(w2, before)
+
+
+def _out_of_place_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
+    # The step as it was written before it worked in place: fresh arrays at every pass.
+    if apply_weight_decay and hyper.weight_decay != 0.0:
+        g = g + hyper.weight_decay * w
+    v = hyper.momentum * velocity + g
+    update = g + hyper.momentum * v if hyper.nesterov else v
+    return w - lr * update, v
+
+
+@pytest.mark.parametrize("nesterov", [True, False])
+@pytest.mark.parametrize("decay", ["on", "off", "zero"])
+@pytest.mark.parametrize("shape", [(784, 256), (10,)])
+def test_euclidean_in_place_matches_out_of_place_oracle(nesterov, decay, shape):
+    rng = np.random.default_rng(41)
+    hyper = EuclideanHyper(eta=0.01, momentum=0.9, weight_decay=0.0 if decay == "zero" else 0.0005,
+                           nesterov=nesterov)
+    apply_decay = decay != "off"
+    w = rng.standard_normal(shape)
+    velocity = np.zeros(shape)
+    w_ref, v_ref = w.copy(), velocity.copy()
+    for step in range(4):
+        g = rng.standard_normal(shape)
+        g_before = g.copy()
+        lr = 0.01 * (step + 1)
+        w_ref, v_ref = _out_of_place_euclidean_step(w_ref, g.copy(), v_ref, lr, hyper, apply_decay)
+        w2, v2 = euclidean_sgd_step(w, g, velocity, lr, hyper, apply_weight_decay=apply_decay)
+        assert w2 is w and v2 is velocity
+        assert w.tobytes() == w_ref.tobytes()
+        assert velocity.tobytes() == v_ref.tobytes()
+        if decay != "on":
+            assert g.tobytes() == g_before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w, g, v: (w.astype(np.float32), g, v),
+        lambda w, g, v: (w, g, v.astype(np.float32)),
+        lambda w, g, v: (w, g, v.tolist()),
+        lambda w, g, v: (w, g, np.broadcast_to(0.0, w.shape)),
+        lambda w, g, v: (w, np.broadcast_to(1.0, w.shape), v),
+        lambda w, g, v: (w, g, w),
+        lambda w, g, v: (w, w, v),
+    ],
+    ids=["float32_param", "float32_velocity", "list_velocity", "readonly_velocity",
+         "readonly_gradient", "aliased_velocity", "aliased_gradient"],
+)
+def test_euclidean_refuses_unwritable_state_before_writing(make):
+    w, g, velocity = make(np.array([1.0, -2.0]), np.ones(2), np.array([0.5, 0.25]))
+    before = [np.array(a, copy=True).tobytes() for a in (w, g, velocity)]
+    with pytest.raises(PreconditionError):
+        euclidean_sgd_step(w, g, velocity, 0.1, EuclideanHyper())
+    assert [np.array(a, copy=True).tobytes() for a in (w, g, velocity)] == before
+
+
+def test_euclidean_refuses_non_finite_gradient_before_writing():
+    w, velocity, g = np.array([1.0, -2.0]), np.array([0.5, 0.25]), np.array([1.0, np.inf])
+    with pytest.raises(NumericalError):
+        euclidean_sgd_step(w, g, velocity, 0.1, EuclideanHyper())
+    assert w.tolist() == [1.0, -2.0] and velocity.tolist() == [0.5, 0.25]
+    assert g.tolist() == [1.0, np.inf]  # the decay term is not added either
 
 
 def _scalar_recurrence_oracle(momentum, nesterov, lr, steps):
