@@ -3,7 +3,9 @@
 Activations from the first convolution up to ``FlattenLayer`` are
 channels-last, (m, h, w, c), so batch normalization and ReLU always see the
 unit axis last. ``FlattenLayer`` is the one place that knows the layout: it
-hands the classifier features in (c, h, w) order.
+hands the classifier features in (c, h, w) order. Convolution is an im2col
+product; its input gradient is a sum of products over groups of ``stride``
+adjacent taps, each landing on whole rows of the padded gradient.
 
 Every layer follows the same protocol: ``forward(x, training)`` returns
 ``(out, cache)`` without mutating any state, ``backward(dout, cache)`` returns
@@ -87,6 +89,17 @@ class ConvLayer:
     Input and output are channels-last, (m, h, w, c). The filter bank unrolled
     to a (kh*kw*c_in, c_out) matrix is the layer's weight matrix for
     partitioning purposes: each output channel is one column.
+
+    Forward is one product of the im2col matrix, one (kh, kw, c_in) window
+    per output pixel, with that matrix. With one input channel the windows'
+    rows are only kw values long, so the matrix is built as its transpose,
+    one copy per tap along whole output rows. The filter gradient is one
+    product with the im2col matrix. The input gradient is the transposed
+    convolution split by stride phase: each kernel row's taps are taken in
+    groups of ``stride`` adjacent taps, and one group's product gives
+    ``stride * c_in`` adjacent values of the padded input gradient per output
+    pixel, so each accumulation runs over whole rows of the gradient rather
+    than ``c_in``-wide pieces of them.
     """
 
     weight_name = "filters"
@@ -118,9 +131,18 @@ class ConvLayer:
         if ho < 1 or wo < 1:
             raise DimensionError("convolution output would be empty")
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-        # (m, ho, wo, kh, kw, c_in) windows, one im2col row per output pixel
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
-        cols2 = windows[:, : s * ho : s, : s * wo : s, 0].reshape(m * ho * wo, kh * kw * cin)
+        if cin == 1:
+            # One value per tap: build the transpose, one copy per tap along
+            # whole output rows, instead of copying kw-wide window rows.
+            colsT = np.empty((kh, kw, m, ho, wo))
+            for di in range(kh):
+                for dj in range(kw):
+                    colsT[di, dj] = xp[:, di : di + s * ho : s, dj : dj + s * wo : s, 0]
+            cols2 = colsT.reshape(kh * kw, m * ho * wo).T
+        else:
+            # (m, ho, wo, kh, kw, c_in) windows, one im2col row per output pixel
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, cin), axis=(1, 2, 3))
+            cols2 = windows[:, : s * ho : s, : s * wo : s, 0].reshape(m * ho * wo, kh * kw * cin)
         out = (cols2 @ self.weight_matrix()).reshape(m, ho, wo, cout)
         return out, (cols2, x.shape)
 
@@ -132,13 +154,21 @@ class ConvLayer:
         dw = (cols2.T @ dmat).reshape(self.filters.shape)
         if not input_grad:
             return None, {"filters": dw}
-        dcols = (dmat @ self.weight_matrix().T).reshape(m, ho, wo, kh, kw, cin)
         pad, s = self.padding, self.stride
-        dxp = np.zeros((m, h + 2 * pad, w + 2 * pad, cin))
+        groups = -(-kw // s)  # groups of s adjacent taps per kernel row
+        # Padded input columns in groups of s: tap g*s + r of output column j
+        # lands on group g + j, phase r, so one group's product covers s*cin
+        # adjacent values and each += runs over whole wo*s*cin-wide rows
+        # (the last group may hold fewer taps).
+        width = max(-(-(w + 2 * pad) // s), groups + wo - 1)
+        dxp = np.zeros((m, h + 2 * pad, width, s * cin))
         for di in range(kh):
-            for dj in range(kw):
-                dxp[:, di : di + s * ho : s, dj : dj + s * wo : s] += dcols[:, :, :, di, dj]
-        dx = dxp[:, pad : pad + h, pad : pad + w] if pad else dxp
+            for g in range(groups):
+                taps = self.filters[di, g * s : (g + 1) * s]
+                n = taps.shape[0] * cin
+                prod = dmat @ taps.reshape(n, cout).T
+                dxp[:, di : di + s * ho : s, g : g + wo, :n] += prod.reshape(m, ho, wo, n)
+        dx = dxp.reshape(m, h + 2 * pad, width * s, cin)[:, pad : pad + h, pad : pad + w]
         return dx, {"filters": dw}
 
 
@@ -181,7 +211,9 @@ class BatchNormLayer:
     ``None``: ``backward`` refuses it and ``update_running`` ignores it.
 
     The arithmetic runs on the wide view described at ``_fold_factor``; the
-    train-mode cache holds ``xhat`` in that wide shape.
+    train-mode cache holds ``xhat`` in that wide shape. The batch variance
+    and the scale gradient are each one ``einsum`` pass over it, with no
+    product temporary.
     """
 
     def __init__(self, units, momentum_stats=BN_MOMENTUM, eps_bn=BN_EPS, scale_trainable=True):
@@ -219,7 +251,7 @@ class BatchNormLayer:
             return out.reshape(x.shape), None
         mean = _fold(xw.sum(axis=0), k) / rows
         xhat = xw - _tile(mean, k)
-        var = _fold((xhat * xhat).sum(axis=0), k) / rows
+        var = _fold(np.einsum("ij,ij->j", xhat, xhat), k) / rows
         inv_std = 1.0 / np.sqrt(var + self.eps_bn)
         xhat *= _tile(inv_std, k)
         out = xhat * _tile(self.scale, k)
@@ -245,8 +277,7 @@ class BatchNormLayer:
         rows = xhat.size // self.units
         doutw = dout.reshape(xhat.shape)
         dbeta = _fold(doutw.sum(axis=0), k)
-        dx = np.multiply(doutw, xhat)  # dout * xhat; the buffer then takes dx
-        dgamma = _fold(dx.sum(axis=0), k)
+        dgamma = _fold(np.einsum("ij,ij->j", doutw, xhat), k)
         grads = {"offset": dbeta}
         if self.scale_trainable:
             grads["scale"] = dgamma
@@ -255,7 +286,7 @@ class BatchNormLayer:
         # dxhat = scale * dout, so sum(dxhat) = scale * dbeta and
         # sum(dxhat * xhat) = scale * dgamma:
         # dx = scale * inv_std * (dout - dbeta / rows - xhat * dgamma / rows)
-        np.multiply(xhat, _tile(-dgamma / rows, k), out=dx)
+        dx = xhat * _tile(-dgamma / rows, k)
         dx += doutw
         dx -= _tile(dbeta / rows, k)
         dx *= _tile(self.scale * inv_std, k)

@@ -11,8 +11,8 @@ partition and treats every parameter as Euclidean.
 A step applies completely or not at all: every Grassmann update is computed
 and checked, and every Euclidean parameter's inputs are checked, before any
 parameter, optimizer state or BN statistic is written. The commit then copies
-the Grassmann results into place and runs the Euclidean steps, which write
-their parameters and velocities in place.
+the Grassmann results into place and applies the Euclidean steps, which write
+their parameters and velocities in place on the inputs already checked.
 """
 
 from dataclasses import dataclass
@@ -207,10 +207,12 @@ class Trainer:
             angles.append(angle_columns(wm, y_new))
             grassmann.append((state, wm, y_new, tau_new, v_new, t_new))
 
-        # The Euclidean step writes in place, so only its inputs are checked here.
-        euclid = list(zip(self.partition.euclidean, self.velocities))
-        for ref, velocity in euclid:
-            optim._check_euclidean_inputs(self._param(ref), grads[ref.layer_index][ref.name], velocity)
+        # The Euclidean step writes in place, so only its inputs are checked here, once.
+        euclid = []
+        for ref, velocity in zip(self.partition.euclidean, self.velocities):
+            w = self._param(ref)
+            g = optim._check_euclidean_inputs(w, grads[ref.layer_index][ref.name], velocity)
+            euclid.append((ref, w, g, velocity))
 
         # Copied into the existing buffers, so long-lived arrays are not reallocated every step.
         for state, wm, y_new, tau_new, v_new, t_new in grassmann:
@@ -218,11 +220,8 @@ class Trainer:
             state.base[...] = y_new
             state.tau[...] = tau_new
             state.v, state.t = v_new, t_new
-        for ref, velocity in euclid:
-            optim.euclidean_sgd_step(
-                self._param(ref), grads[ref.layer_index][ref.name], velocity, lr_e,
-                self.euclid_hyper, self.decay_groups[ref.group],
-            )
+        for ref, w, g, velocity in euclid:
+            optim._apply_euclidean_step(w, g, velocity, lr_e, self.euclid_hyper, self.decay_groups[ref.group])
         net.apply_running_updates(caches)
 
         angles_arr = np.concatenate(angles) if angles else np.zeros(1)

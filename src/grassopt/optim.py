@@ -257,6 +257,11 @@ def euclidean_sgd_step(
     written. Returns ``(w, velocity)``, the objects it was given.
     """
     g = _check_euclidean_inputs(w, g, velocity)
+    return _apply_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay)
+
+
+def _apply_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
+    """The writes of :func:`euclidean_sgd_step`, on inputs that passed ``_check_euclidean_inputs``."""
     tmp = np.empty_like(w)
     if apply_weight_decay and hyper.weight_decay != 0.0:
         np.multiply(w, hyper.weight_decay, out=tmp)

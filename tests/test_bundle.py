@@ -218,6 +218,26 @@ def test_euclidean_step_keeps_parameter_and_velocity_objects(optimizer):
     assert all(not np.array_equal(a, b) for a, b in zip(params, before))  # the steps did move them
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-g", "adam-g"])
+def test_step_checks_each_euclidean_parameter_once(monkeypatch, optimizer):
+    rng = np.random.default_rng(37)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    checked = []
+    real_check = optim._check_euclidean_inputs
+
+    def counting(w, g, velocity):
+        checked.append(w)
+        return real_check(w, g, velocity)
+
+    monkeypatch.setattr(optim, "_check_euclidean_inputs", counting)
+    for step in range(1, 3):
+        trainer.train_step(x, labels, optim.default_eta_g(optimizer), 0.01)
+        assert len(checked) == step * len(trainer.partition.euclidean)
+    params = [trainer._param(ref) for ref in trainer.partition.euclidean]
+    assert all(a is b for a, b in zip(checked, params + params))
+
+
 def test_step_refuses_state_of_other_columns():
     trainer, (x, labels) = _trained()
     w = trainer.net.layers[3].W

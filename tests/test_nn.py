@@ -24,6 +24,7 @@ from grassopt.nn.layers import FlattenLayer
 from grassopt.optim import EuclideanHyper
 
 import bn_oracle
+import conv_oracle
 
 
 def _vector_rel_error(analytic, numeric):
@@ -221,6 +222,37 @@ def test_bn_matches_row_oracle(shape, wide):
     assert _vector_rel_error(eval_out, ref_eval) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "shape, k",
+    [((32, 256), 1), ((64, 8), 32), ((4, 6, 6, 8), 24), ((32, 14, 14, 16), 16)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"k{v}",
+)
+def test_bn_one_pass_reductions(shape, k):
+    # The batch variance and dgamma are one einsum pass each over the wide
+    # view. They match the row oracle, and give the bytes of the product
+    # temporary summed over rows that they replace.
+    rng = np.random.default_rng(28)
+    units = shape[-1]
+    x = rng.standard_normal(shape) * 2.0 - 0.5
+    dout = rng.standard_normal(shape)
+    bn, ref = BatchNormLayer(units), BatchNormLayer(units)
+    bn.scale[:] = ref.scale[:] = rng.uniform(0.5, 2.0, units)
+    _, cache = bn.forward(x, training=True)
+    xhat, _, mean, var = cache
+    assert xhat.shape[1] == k * units
+    _, grads = bn.backward(dout, cache)
+    _, ref_cache = bn_oracle.forward(ref, x, training=True)
+    _, ref_grads = bn_oracle.backward(ref, dout, ref_cache)
+    assert _vector_rel_error(var, ref_cache[3]) < 1e-12
+    assert _vector_rel_error(grads["scale"], ref_grads["scale"]) < 1e-12
+    rows = x.size // units
+    centered = x.reshape(xhat.shape) - np.tile(mean, k)
+    two_pass_var = (centered * centered).sum(axis=0).reshape(k, units).sum(axis=0) / rows
+    two_pass_dgamma = (dout.reshape(xhat.shape) * xhat).sum(axis=0).reshape(k, units).sum(axis=0)
+    assert var.tobytes() == two_pass_var.tobytes()
+    assert grads["scale"].tobytes() == two_pass_dgamma.tobytes()
+
+
 def test_bn_rejects_single_image_pixel_in_train_mode_only():
     bn = BatchNormLayer(8)
     with pytest.raises(PreconditionError):
@@ -330,6 +362,62 @@ def test_conv_weight_matrix_is_unrolled_view():
     assert wm.shape == (18, 4)
     wm[:, 0] = 0.0
     assert np.max(np.abs(layer.filters[:, :, :, 0])) == 0.0  # shares memory
+
+
+def _exact_or_close(a, b, exact):
+    assert a.shape == b.shape
+    if exact:
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert _vector_rel_error(a, b) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 3)], ids=lambda k: "x".join(map(str, k)))
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_matches_scatter_oracle(stride, padding, kernel):
+    # Byte-equal from 3 input channels. A single input channel builds its
+    # im2col matrix tap-major, so BLAS gets its transpose, and a tap group of
+    # one channel can make a one-column product, for which numpy calls a
+    # matrix-vector routine: there 1e-12 relative.
+    rng = np.random.default_rng(40)
+    kh, kw = kernel
+    remainders = set()
+    for cin in (1, 3, 8):
+        for h, w in ((7, 7), (9, 10), (12, 11)):
+            layer = ConvLayer(rng.standard_normal((kh, kw, cin, 4)), stride=stride, padding=padding)
+            x = rng.standard_normal((3, h, w, cin))
+            out, cache = layer.forward(x)
+            ref_out, ref_cache = conv_oracle.forward(layer, x)
+            _exact_or_close(out, ref_out, cin > 1)
+            dout = rng.standard_normal(out.shape)
+            dx, grads = layer.backward(dout, cache)
+            ref_dx, ref_grads = conv_oracle.backward(layer, dout, ref_cache)
+            _exact_or_close(grads["filters"], ref_grads["filters"], cin > 1)
+            _exact_or_close(dx, ref_dx, cin > 1)
+            no_dx, only = layer.backward(dout, cache, input_grad=False)
+            assert no_dx is None and only["filters"].tobytes() == grads["filters"].tobytes()
+            remainders.add((w + 2 * padding - kw) % stride)
+    assert stride == 1 or len(remainders) > 1  # output columns that leave input columns over
+
+
+@pytest.mark.parametrize("cin, cout, stride", [(1, 8, 1), (8, 16, 2)], ids=["first", "second"])
+def test_benchmark_convs_are_byte_equal_to_oracle(cin, cout, stride):
+    # The convnet's two convolutions at batch 32 and 64 (train step, evaluation).
+    rng = np.random.default_rng(41)
+    layer = ConvLayer(rng.standard_normal((3, 3, cin, cout)), stride=stride, padding=1)
+    for m in (32, 64):
+        x = rng.standard_normal((m, 28, 28, cin))
+        out, cache = layer.forward(x)
+        ref_out, ref_cache = conv_oracle.forward(layer, x)
+        assert out.tobytes() == ref_out.tobytes()
+        dout = rng.standard_normal(out.shape)
+        dx, grads = layer.backward(dout, cache, input_grad=cin > 1)
+        ref_dx, ref_grads = conv_oracle.backward(layer, dout, ref_cache, input_grad=cin > 1)
+        assert grads["filters"].tobytes() == ref_grads["filters"].tobytes()
+        assert (dx is None) == (ref_dx is None)
+        if dx is not None:
+            assert dx.tobytes() == ref_dx.tobytes()
 
 
 # ----------------------------------------------------------------- networks
