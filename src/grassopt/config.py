@@ -51,7 +51,6 @@ def _optional_bool(text):
 _ARCHS = ("mlp", "conv")
 _DATASETS = ("blobs", "spirals", "idx", "csv")
 _NORMALIZE_MODES = ("standard", "intensity", "none")
-_METRICS_FORMATS = ("csv", "jsonl")
 
 
 def _key(section, converter, default):
@@ -108,7 +107,6 @@ class TrainConfig:
     normalize_mode: str = _key("data", str, "standard")
     label_column: str = _key("data", str, "label")
     out_dir: str = _key("output", str, "runs/default")
-    metrics_format: str = _key("output", str, "csv")
     timing: bool = _key("output", _bool, False)
 
     def __post_init__(self):
@@ -121,10 +119,6 @@ class TrainConfig:
         if self.normalize_mode not in _NORMALIZE_MODES:
             raise ConfigError(
                 f"normalize_mode must be one of {_NORMALIZE_MODES}, got {self.normalize_mode!r}"
-            )
-        if self.metrics_format not in _METRICS_FORMATS:
-            raise ConfigError(
-                f"metrics_format must be one of {_METRICS_FORMATS}, got {self.metrics_format!r}"
             )
         if self.eta_g is None:
             object.__setattr__(self, "eta_g", default_eta_g(self.optimizer))

@@ -13,7 +13,7 @@ it say so with :func:`require_unit` and :func:`require_tangent`.
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, NumericalError, PreconditionError
 
 __all__ = [
     "DEGENERATE_STEP",
@@ -62,10 +62,14 @@ def require_tangent(y: np.ndarray, v: np.ndarray, what: str = "vector") -> np.nd
     """Raise :class:`PreconditionError` unless each column of ``v`` is orthogonal to that of ``y``.
 
     The tolerance scales with the column norm: ``|y_j . v_j| <= 1e-9 (1 + |v_j|)``.
+    A column whose norm is not finite, or above about 1.3e154 so that its square
+    overflows, raises :class:`NumericalError` instead; the tolerance is never infinite.
     Returns the column norms ``|v_j|``, which :func:`clip_columns` and
     :func:`geodesic_columns` accept instead of computing them again.
     """
     nv = _col_norm(v)
+    if not np.isfinite(nv).all():
+        raise NumericalError(f"{what} has a column norm that is not finite")
     if not np.all(np.abs(_col_inner(y, v)) <= _TANGENCY_TOL * (1.0 + nv)):
         raise PreconditionError(f"{what} is not tangent at its base point")
     return nv

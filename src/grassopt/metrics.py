@@ -1,7 +1,6 @@
-"""Per-epoch metrics records and the append-only CSV / JSONL writers."""
+"""Per-epoch metrics records and the append-only CSV writer."""
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["METRIC_FIELDS", "MetricsRecord", "MetricsWriter"]
 
@@ -25,9 +24,6 @@ class MetricsRecord:
     def csv_row(self) -> str:
         return ",".join(_fmt(getattr(self, name)) for name in METRIC_FIELDS)
 
-    def json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricsRecord))  # the CSV header, in order
 
@@ -39,23 +35,18 @@ def _fmt(value) -> str:
 
 
 class MetricsWriter:
-    """Append-only metrics stream, flushed after every record.
+    """Append-only metrics CSV, flushed after every record.
 
-    A crash mid-run leaves a valid prefix of the stream on disk.
+    A crash mid-run leaves a valid prefix of the file on disk.
     """
 
-    def __init__(self, path, fmt: str = "csv"):
-        if fmt not in ("csv", "jsonl"):
-            raise ValueError(f"unknown metrics format {fmt!r}")
-        self.fmt = fmt
+    def __init__(self, path):
         self._fh = open(path, "w", newline="")
-        if fmt == "csv":
-            self._fh.write(",".join(METRIC_FIELDS) + "\n")
-            self._fh.flush()
+        self._fh.write(",".join(METRIC_FIELDS) + "\n")
+        self._fh.flush()
 
     def write(self, record: MetricsRecord) -> None:
-        line = record.csv_row() if self.fmt == "csv" else record.json_line()
-        self._fh.write(line + "\n")
+        self._fh.write(record.csv_row() + "\n")
         self._fh.flush()
 
     def close(self) -> None:

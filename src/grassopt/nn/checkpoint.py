@@ -27,7 +27,7 @@ import zipfile
 import numpy as np
 
 from .. import manifold, optim
-from ..errors import PreconditionError, ValidationError
+from ..errors import NumericalError, PreconditionError, ValidationError
 from .layers import BatchNormLayer
 from .network import build_network
 from .training import Trainer
@@ -170,7 +170,7 @@ def load_checkpoint(path) -> Trainer:
         try:
             manifold.require_unit(wm, f"layer {state.layer_index} columns")
             manifold.require_tangent(wm, tau, f"layer {state.layer_index} momentum")
-        except PreconditionError as exc:
+        except (PreconditionError, NumericalError) as exc:
             raise ValidationError(f"checkpoint: {exc}") from None
         state.base, state.tau = wm.copy(), tau
         if adam:

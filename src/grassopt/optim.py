@@ -140,7 +140,10 @@ def _check_update_inputs(y, g, tau, lr, base):
 
 def _projected_clipped(y, g, nu):
     h = manifold.project_columns(y, g)
-    h_norm = manifold.require_tangent(y, h, "projected gradient")
+    try:
+        h_norm = manifold.require_tangent(y, h, "projected gradient")
+    except PreconditionError:  # y is unit and g finite: cancellation in g - (y^T g) y, g nearly parallel to y
+        raise NumericalError(f"projected gradient lost tangency to rounding, point shape {y.shape}") from None
     return manifold.clip_columns(h, nu, h_norm)
 
 

@@ -15,8 +15,8 @@ kernels check nothing; the two oracle entry points check what they rely on.
 
 import numpy as np
 
-from . import manifold, numerics
-from .errors import PreconditionError
+from . import manifold
+from .errors import NumericalError, PreconditionError
 
 __all__ = [
     "ortho_loss",
@@ -77,8 +77,13 @@ def _complexity_from_matrix(y: np.ndarray, alpha: float, sigma: float) -> float:
     n, p = y.shape
     if p == 0:
         return 0.5 * alpha * n / sigma**2
-    small = sigma**2 * np.eye(p) + y.T @ y
-    inv_small = numerics.solve_spd(small, np.eye(p))
+    small = y.T @ y
+    small[np.diag_indices(p)] += sigma**2
+    try:  # small = L L^T: solve L z = I, then L^T x = z
+        lower = np.linalg.cholesky(small)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"complexity: Cholesky factorization failed ({exc})") from exc
+    inv_small = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(p)))
     return 0.5 * alpha * ((n - p) / sigma**2 + float(np.trace(inv_small)))
 
 

@@ -69,10 +69,10 @@ def resolve_out_dir(cfg: TrainConfig) -> str:
 def run_training(cfg: TrainConfig, out_dir: str | None = None):
     """Train per the config; returns (records, paths).
 
-    Writes ``metrics.csv`` (or ``.jsonl``), ``checkpoint.npz``, and
-    ``config.ini`` under the output directory. Deterministic for a fixed seed:
-    identical configs produce byte-identical metrics files (enable ``timing``
-    to record real wall time instead of 0.0, which breaks that).
+    Writes ``metrics.csv``, ``checkpoint.npz``, and ``config.ini`` under the
+    output directory. Deterministic for a fixed seed: identical configs
+    produce byte-identical ``metrics.csv`` files (enable ``timing`` to record
+    real wall time instead of 0.0, which breaks that).
     """
     euclid, sgdg, adamg, schedule_e, schedule_g = cfg.optimizer_objects()
     ds = build_dataset(cfg)
@@ -91,8 +91,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
 
-    metrics_name = "metrics.csv" if cfg.metrics_format == "csv" else "metrics.jsonl"
-    metrics_path = os.path.join(out_dir, metrics_name)
+    metrics_path = os.path.join(out_dir, "metrics.csv")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")
     started = time.monotonic()
     records = []
@@ -115,7 +114,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
         )
 
     step = 0
-    with MetricsWriter(metrics_path, cfg.metrics_format) as writer:
+    with MetricsWriter(metrics_path) as writer:
         rec = record(0, 0, 0.0, schedule_lr(schedule_e, 0), schedule_lr(schedule_g, 0))
         records.append(rec)
         writer.write(rec)

@@ -330,6 +330,8 @@ def _bad_checkpoints(tmp_path):
         "missing": {"point3.tau": None},
         "wrong_shape": {"point3.tau": np.zeros(y3.shape[0] + 1)},
         "not_tangent": {"point3.tau": 0.5 * y3},
+        # Tangent, but its squared norm overflows, so a tolerance scaled by the norm would be inf.
+        "overflowing": {"point3.tau": 1e200 * manifold.project_columns(y3, np.ones_like(y3))},
     }
     paths = {}
     for name, change in cases.items():
@@ -338,10 +340,11 @@ def _bad_checkpoints(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("case", ["missing", "wrong_shape", "not_tangent"])
+@pytest.mark.parametrize("case", ["missing", "wrong_shape", "not_tangent", "overflowing"])
 def test_bad_momentum_raises_validation_error(tmp_path, case):
     path = _bad_checkpoints(tmp_path)[case]
-    with pytest.raises(ValidationError, match="point3.tau" if case != "not_tangent" else "not tangent"):
+    message = {"not_tangent": "not tangent", "overflowing": "not finite"}.get(case, "point3.tau")
+    with pytest.raises(ValidationError, match=message):
         load_checkpoint(path)
 
 

@@ -52,17 +52,6 @@ def test_train_determinism_byte_identical(tmp_path):
     assert bytes1 == bytes2
 
 
-def test_train_jsonl_mode(tmp_path):
-    import json
-
-    code, out = _train(tmp_path, "jl", ["--metrics_format", "jsonl"])
-    assert code == 0
-    lines = open(os.path.join(out, "metrics.jsonl")).read().splitlines()
-    assert len(lines) == 3
-    record = json.loads(lines[0])
-    assert set(record) == set(METRIC_FIELDS)
-
-
 def test_train_rejects_unknown_key_before_running(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[optimizer]\nmomentum_rate = 0.5\n")

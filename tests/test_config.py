@@ -116,7 +116,7 @@ DEFAULT_INI = (
     "[train]\nepochs = 60\nbatch_size = 32\nseed = 0\n\n"
     "[data]\ndataset = blobs\ndata_path = \nclasses = 3\nn_per_class = 200\ndim = 16\nspread = 0.6\n"
     "noise = 0.2\nnormalize_mode = standard\nlabel_column = label\n\n"
-    "[output]\nout_dir = runs/default\nmetrics_format = csv\ntiming = False\n"
+    "[output]\nout_dir = runs/default\ntiming = False\n"
 )
 
 

@@ -11,7 +11,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 @pytest.mark.parametrize("module", [
-    "grassopt", "grassopt.manifold", "grassopt.optim", "grassopt.numerics", "grassopt.nn", "grassopt.regularizer",
+    "grassopt", "grassopt.manifold", "grassopt.optim", "grassopt.nn", "grassopt.regularizer",
+    "grassopt.gradcheck", "grassopt.metrics",
 ])
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassopt import gradcheck
-from grassopt.errors import PreconditionError
+from grassopt.errors import NumericalError, PreconditionError
 from grassopt.regularizer import complexity_loss, descent_check, ortho_grad, ortho_loss
 
 
@@ -107,6 +107,22 @@ def test_complexity_loss_orthonormal_spectrum():
     sigma2 = 1e-4
     expected = 0.5 * 0.1 * (2.0 / (1.0 + sigma2) + 4.0 / sigma2)
     assert complexity_loss(q, 0.1, sigma=np.sqrt(sigma2)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_complexity_loss_matches_the_full_n_by_n_trace():
+    # The reduced p-by-p solve equals (alpha/2) tr((sigma^2 I_n + Y Y^T)^{-1}).
+    rng = np.random.default_rng(9)
+    for n, p in ((4, 1), (8, 3), (20, 7)):
+        y = _unit_columns(n, p, rng)
+        full = 0.5 * 0.1 * np.trace(np.linalg.inv(0.3**2 * np.eye(n) + y @ y.T))
+        assert complexity_loss(y, 0.1, sigma=0.3) == pytest.approx(full, rel=1e-10)
+
+
+def test_complexity_loss_refuses_a_singular_system():
+    # Two identical unit columns: sigma^2 I + Y^T Y rounds to the singular all-ones matrix.
+    u = np.ones(4) / 2.0
+    with pytest.raises(NumericalError):
+        complexity_loss(np.column_stack([u, u]), 0.1, sigma=1e-100)
 
 
 def test_complexity_loss_minimized_by_orthonormalization():
