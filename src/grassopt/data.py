@@ -2,7 +2,7 @@
 
 Normalization statistics are always computed from the training split and the
 same affine transform is applied to the test split; an intensity mode divides
-by 255 instead.
+by 255 instead. Normalization overwrites the feature arrays in place.
 """
 
 import csv
@@ -132,8 +132,8 @@ def _open_maybe_gz(path, mode="rb"):
     return gzip.open(path, mode) if str(path).endswith(".gz") else open(path, mode)
 
 
-def parse_idx(path) -> np.ndarray:
-    """Parse one IDX tensor file (big-endian magic, dims, payload)."""
+def _read_idx(path) -> np.ndarray:
+    """One IDX tensor as a read-only big-endian view of the file's payload."""
     with _open_maybe_gz(path) as fh:
         magic = fh.read(4)
         if len(magic) < 4:
@@ -156,7 +156,13 @@ def parse_idx(path) -> np.ndarray:
                 f"{path}: payload of {len(payload)} bytes, expected {expected} "
                 f"at byte offset {4 + 4 * ndim}"
             )
-        return np.frombuffer(payload, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="))
+        return np.frombuffer(payload, dtype=dtype).reshape(dims)
+
+
+def parse_idx(path) -> np.ndarray:
+    """Parse one IDX tensor file (big-endian magic, dims, payload)."""
+    arr = _read_idx(path)
+    return arr.astype(arr.dtype.newbyteorder("="))
 
 
 def write_idx(path, array) -> None:
@@ -193,7 +199,9 @@ def load_idx(path, num_classes: int | None = None) -> Dataset:
 
     ``path`` must contain ``train-images-idx3-ubyte`` and
     ``train-labels-idx1-ubyte`` (optionally gzipped); the ``t10k`` pair is
-    optional. Image tensors gain a channel axis; intensities are left raw.
+    optional. Image tensors gain a channel axis; intensities are left raw,
+    converted from the file's payload to float64 in one copy. :func:`normalize`
+    overwrites these arrays; pass it a copy to keep the raw values.
     """
     if not os.path.isdir(path):
         raise ParseError(f"{path}: not a directory of IDX files")
@@ -202,13 +210,13 @@ def load_idx(path, num_classes: int | None = None) -> Dataset:
         raise ParseError(f"{path}: missing train IDX files ({_IDX_NAMES['train_x']}[.gz])")
 
     def images(file):
-        arr = parse_idx(file).astype(np.float64)
+        arr = _read_idx(file).astype(np.float64)
         if arr.ndim == 3:
             arr = arr[:, None, :, :]
         return arr
 
     def labels(file):
-        arr = parse_idx(file)
+        arr = _read_idx(file)
         if arr.ndim != 1:
             raise ParseError(f"{file}: label tensor must be 1-D, got shape {arr.shape}")
         return arr.astype(np.int64)
@@ -277,25 +285,46 @@ def load_csv(path, schema) -> Dataset:
 _ZERO_VAR_EPS = 1e-12
 
 
+def _own_float64(x: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """``x`` if it is writable float64 memory that no array in ``others`` overlaps, else a copy."""
+    overlaps = any(np.shares_memory(x, other) for other in others)
+    if x.dtype == np.float64 and x.flags.writeable and not overlaps:
+        return x
+    return x.astype(np.float64)
+
+
 def normalize(ds: Dataset, mode: str = "standard") -> Dataset:
     """Standardize by train-split statistics, or divide intensities by 255.
+
+    Works in place: the returned Dataset holds ``ds``'s own feature arrays,
+    overwritten, so pass a copy to keep the raw values. A split that is not a
+    writable float64 array, or a test split that overlaps the train split, is
+    first copied once to float64; nothing is written through a read-only view.
 
     Standard mode leaves train features with per-dimension mean 0 and standard
     deviation 1; zero-variance dimensions are mapped to zero with a warning.
     The identical transform is applied to the test split. Test data is never
     read when computing statistics.
     """
-    if mode == "intensity":
-        return replace(ds, train_x=ds.train_x / 255.0, test_x=ds.test_x / 255.0)
-    if mode != "standard":
+    if mode not in ("standard", "intensity"):
         raise PreconditionError(f"unknown normalization mode {mode!r}")
-    if ds.train_x.shape[0] == 0:
+    if mode == "standard" and ds.train_x.shape[0] == 0:
         raise PreconditionError("cannot standardize an empty training split")
-    mean = ds.train_x.mean(axis=0)
-    std = ds.train_x.std(axis=0)
+    train = _own_float64(ds.train_x)
+    test = _own_float64(ds.test_x, train)
+    if mode == "intensity":
+        train /= 255.0
+        test /= 255.0
+        return replace(ds, train_x=train, test_x=test)
+    mean = train.mean(axis=0)
+    train -= mean
+    # The centered buffer's sum of squares, as np.std takes it, in one pass.
+    std = np.sqrt(np.einsum("i...,i...->...", train, train) / train.shape[0])
     if np.any(std < _ZERO_VAR_EPS):
         warnings.warn("zero-variance feature(s) stabilized during normalization", stacklevel=2)
     safe_std = np.where(std < _ZERO_VAR_EPS, 1.0, std)
-    train = (ds.train_x - mean) / safe_std
-    test = (ds.test_x - mean) / safe_std if ds.test_x.size else ds.test_x
+    train /= safe_std
+    if test.size:
+        test -= mean
+        test /= safe_std
     return replace(ds, train_x=train, test_x=test)

@@ -1,5 +1,7 @@
 import gzip
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from grassopt.data import (
     parse_idx,
     write_idx,
 )
+from grassopt.config import make_config
 from grassopt.errors import ParseError, PreconditionError, ValidationError
+from grassopt.runner import build_dataset
 
 
 # ------------------------------------------------------------------- blobs
@@ -214,9 +218,10 @@ def test_normalize_standardizes_train_split():
 def test_normalize_idempotent():
     ds = gen_blobs(6, n_per_class=50, classes=2, dim=3, spread=0.5)
     once = normalize(ds)
+    once_train, once_test = once.train_x.copy(), once.test_x.copy()
     twice = normalize(once)
-    assert np.max(np.abs(twice.train_x - once.train_x)) < 1e-9
-    assert np.max(np.abs(twice.test_x - once.test_x)) < 1e-9
+    assert np.max(np.abs(twice.train_x - once_train)) < 1e-9
+    assert np.max(np.abs(twice.test_x - once_test)) < 1e-9
 
 
 def test_normalize_constant_feature_warns_and_zeroes():
@@ -246,18 +251,137 @@ def test_normalize_never_reads_test_split():
         base.test_y,
         base.num_classes,
     )
+    raw_train = base.train_x.copy()
     out = normalize(poisoned)
-    mean, std = base.train_x.mean(axis=0), base.train_x.std(axis=0)
+    mean, std = raw_train.mean(axis=0), raw_train.std(axis=0)
     assert np.isfinite(out.train_x).all()
-    assert np.array_equal(out.train_x, (base.train_x - mean) / std)
+    assert np.array_equal(out.train_x, (raw_train - mean) / std)
 
 
 def test_transform_identical_across_splits():
     ds = gen_blobs(10, n_per_class=60, classes=2, dim=3, spread=0.5)
+    raw_train, raw_test = ds.train_x.copy(), ds.test_x.copy()
     out = normalize(ds)
-    mean, std = ds.train_x.mean(axis=0), ds.train_x.std(axis=0)
-    assert np.array_equal(out.train_x, (ds.train_x - mean) / std)
-    assert np.array_equal(out.test_x, (ds.test_x - mean) / std)
+    mean, std = raw_train.mean(axis=0), raw_train.std(axis=0)
+    assert np.array_equal(out.train_x, (raw_train - mean) / std)
+    assert np.array_equal(out.test_x, (raw_test - mean) / std)
+
+
+# The out-of-place transform that normalize replaced; in-place results must match it.
+def _oracle_standardize(train, test):
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return (train - mean) / std, (test - mean) / std
+
+
+def _labelled(train_x, test_x):
+    return Dataset(train_x, np.zeros(len(train_x), dtype=np.int64),
+                   test_x, np.zeros(len(test_x), dtype=np.int64), 2)
+
+
+def _image_split(seed):
+    rng = np.random.default_rng(seed)
+    train = rng.integers(0, 256, (96, 1, 28, 28)).astype(np.float64)
+    train[:, :, :3, :] = 0.0  # blank border rows, as in MNIST: zero-variance pixels
+    return _labelled(train, rng.integers(0, 256, (24, 1, 28, 28)).astype(np.float64))
+
+
+def _zero_variance_split(seed):
+    rng = np.random.default_rng(seed)
+    train = rng.standard_normal((50, 5)) * 4.0 + 2.0
+    train[:, 1] = 3.25
+    train[:, 4] = -7.0
+    return _labelled(train, rng.standard_normal((12, 5)))
+
+
+def _nan_test_split(seed):
+    base = gen_blobs(seed, n_per_class=40, classes=3, dim=6, spread=0.6)
+    test = base.test_x.copy()
+    test[::3, 2] = np.nan
+    return _labelled(base.train_x, test)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_blobs(11, n_per_class=170, classes=3, dim=16, spread=0.6),
+    lambda: gen_spirals(12, n=230, noise=0.2),
+    lambda: _image_split(13),
+    lambda: _zero_variance_split(14),
+    lambda: _nan_test_split(15),
+], ids=["blobs16", "spirals", "images", "zero-variance", "nan-test"])
+def test_normalize_in_place_matches_out_of_place_bytes(make):
+    ds = make()
+    want_train, want_test = _oracle_standardize(ds.train_x, ds.test_x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = normalize(ds)
+    assert out.train_x is ds.train_x and out.test_x is ds.test_x  # no copy was made
+    assert out.train_x.tobytes() == want_train.tobytes()
+    assert out.test_x.tobytes() == want_test.tobytes()
+
+
+def test_normalize_single_feature_within_one_ulp_of_out_of_place():
+    # np.std sums an (n, 1) column pairwise, the einsum in order: the bits may differ.
+    rng = np.random.default_rng(16)
+    for n in (100, 1000, 5000):
+        ds = _labelled(rng.standard_normal((n, 1)) * 3.0 + 1.0, rng.standard_normal((n // 4, 1)))
+        want_train, want_test = _oracle_standardize(ds.train_x, ds.test_x)
+        out = normalize(ds)
+        for got, want in ((out.train_x, want_train), (out.test_x, want_test)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+
+def test_normalize_copies_read_only_and_integer_splits_without_writing():
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((40, 3)) * 2.0 + 1.0
+    read_only = np.frombuffer(raw.tobytes()).reshape(raw.shape)
+    ints = rng.integers(0, 256, (10, 3))
+    ints_before = ints.copy()
+    assert not read_only.flags.writeable
+    out = normalize(_labelled(read_only, ints))
+    want_train, want_test = _oracle_standardize(raw, ints_before.astype(np.float64))
+    assert np.array_equal(read_only, raw) and np.array_equal(ints, ints_before)
+    assert out.train_x.tobytes() == want_train.tobytes()
+    assert out.test_x.tobytes() == want_test.tobytes()
+    out = normalize(_labelled(read_only, ints), mode="intensity")
+    assert np.array_equal(read_only, raw) and np.array_equal(ints, ints_before)
+    assert np.array_equal(out.train_x, raw / 255.0)
+    assert np.array_equal(out.test_x, ints_before / 255.0)
+
+
+@pytest.mark.parametrize("mode", ["standard", "intensity"])
+def test_normalize_transforms_a_test_split_aliasing_train_once(mode):
+    x = gen_blobs(18, n_per_class=30, classes=2, dim=4, spread=0.5).train_x
+    raw = x.copy()
+    for test in (x, x[::2], x[5:9]):
+        x[...] = raw
+        test_raw = test.copy()
+        out = normalize(_labelled(x, test), mode)
+        if mode == "intensity":
+            want_train, want_test = raw / 255.0, test_raw / 255.0
+        else:
+            want_train, want_test = _oracle_standardize(raw, test_raw)
+        assert out.test_x is not out.train_x
+        assert out.train_x.tobytes() == want_train.tobytes()
+        assert out.test_x.tobytes() == want_test.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["standard", "intensity"])
+def test_build_dataset_peak_memory_is_one_copy_per_split(tmp_path, mode):
+    rng = np.random.default_rng(19)
+    for stem, count in (("train", 384), ("t10k", 128)):
+        write_idx(tmp_path / f"{stem}-images-idx3-ubyte",
+                  rng.integers(0, 256, (count, 28, 28)).astype(np.uint8))
+        write_idx(tmp_path / f"{stem}-labels-idx1-ubyte", (np.arange(count) % 10).astype(np.uint8))
+    cfg = make_config(dataset="idx", data_path=str(tmp_path), classes=10, normalize_mode=mode)
+    tracemalloc.start()
+    try:
+        ds = build_dataset(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.train_x.shape == (384, 1, 28, 28) and ds.test_x.shape == (128, 1, 28, 28)
+    returned = sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
+    assert peak <= 1.15 * returned, f"peak {peak} bytes for {returned} bytes of arrays"
 
 
 def test_dataset_label_range_validated():
