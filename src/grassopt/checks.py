@@ -126,14 +126,9 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
         p = int(rng.integers(2, n))  # p = 1 has an exactly-zero gradient, nothing to compare
         y = _unit_columns(n, p, rng)
         analytic = regularizer.ortho_grad(y, 0.1).ravel()
-
-        def loss_flat(flat, shape=(n, p), alpha=0.1):
-            y = flat.reshape(shape)
-            gram = y.T @ y
-            off = gram - np.eye(shape[1])
-            return 0.5 * alpha * float(np.sum(off * off))
-
-        numeric = gradcheck.fd_gradient(loss_flat, y.ravel(), eps=1e-6)
+        numeric = gradcheck.fd_gradient(
+            lambda flat: regularizer.ortho_loss(flat.reshape(y.shape), 0.1), y.ravel(), eps=1e-6
+        )
         # Vector-relative: per-coordinate ratios blow up on near-zero entries.
         scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)

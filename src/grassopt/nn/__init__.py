@@ -11,7 +11,7 @@ from .network import (
     build_network,
     partition_parameters,
 )
-from .training import GRASSMANN_OPTIMIZERS, OPTIMIZERS, EpochStats, LayerState, StepStats, Trainer
+from .training import Trainer
 
 __all__ = [
     "BatchNormLayer",
@@ -28,11 +28,6 @@ __all__ = [
     "build_convnet",
     "build_network",
     "Trainer",
-    "LayerState",
-    "StepStats",
-    "EpochStats",
-    "OPTIMIZERS",
-    "GRASSMANN_OPTIMIZERS",
     "save_checkpoint",
     "load_checkpoint",
 ]

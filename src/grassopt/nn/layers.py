@@ -50,14 +50,6 @@ class DenseLayer:
         if self.bias is not None and self.bias.shape != (self.W.shape[1],):
             raise DimensionError(f"bias shape {self.bias.shape} != ({self.W.shape[1]},)")
 
-    @property
-    def n_in(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.W.shape[1]
-
     def weight_matrix(self) -> np.ndarray:
         return self.W
 
@@ -68,7 +60,7 @@ class DenseLayer:
         return out
 
     def forward(self, x, training=False):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
+        if x.ndim != 2 or x.shape[1] != self.W.shape[0]:
             raise DimensionError(f"dense input shape {x.shape} incompatible with W {self.W.shape}")
         out = x @ self.W
         if self.bias is not None:

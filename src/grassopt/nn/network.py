@@ -148,8 +148,8 @@ def partition_parameters(net: Network) -> Partition:
     return Partition(tuple(euclid), tuple(gmats))
 
 
-def _fan_in_init(n_in, n_out, rng):
-    return rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
+def _fan_in_init(rows, cols, rng):
+    return rng.standard_normal((rows, cols)) / np.sqrt(rows)
 
 
 def _unit_columns(matrix, rng):

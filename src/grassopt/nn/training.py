@@ -22,13 +22,11 @@ import numpy as np
 from .. import optim
 from ..errors import PreconditionError
 from ..manifold import angle_columns, require_unit
-from ..optim import GRASSMANN_OPTIMIZERS, OPTIMIZERS
+from ..optim import OPTIMIZERS
 from ..regularizer import ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
 
-__all__ = [
-    "StepStats", "EpochStats", "LayerState", "Trainer", "ORTHO_ALPHA", "GRASSMANN_OPTIMIZERS", "OPTIMIZERS",
-]
+__all__ = ["StepStats", "EpochStats", "LayerState", "Trainer", "ORTHO_ALPHA"]
 
 ORTHO_ALPHA = 0.1  # default strength of the orthogonality penalty
 
@@ -60,31 +58,22 @@ class StepStats:
     loss: float
     mean_angle: float
     max_angle: float
-    max_sgdg_contribution: float
 
 
 @dataclass
 class EpochStats:
     steps: int = 0
-    loss_sum: float = 0.0
     angle_sum: float = 0.0
     max_angle: float = 0.0
-    max_sgdg_contribution: float = 0.0
 
     def add(self, s: StepStats) -> None:
         self.steps += 1
-        self.loss_sum += s.loss
         self.angle_sum += s.mean_angle
         self.max_angle = max(self.max_angle, s.max_angle)
-        self.max_sgdg_contribution = max(self.max_sgdg_contribution, s.max_sgdg_contribution)
 
     @property
     def mean_angle(self) -> float:
         return self.angle_sum / self.steps if self.steps else 0.0
-
-    @property
-    def mean_loss(self) -> float:
-        return self.loss_sum / self.steps if self.steps else 0.0
 
 
 class Trainer:
@@ -186,19 +175,15 @@ class Trainer:
         # Compute (and check) every update first; write only once all succeeded.
         grassmann = []
         angles = []
-        max_contrib = 0.0
         for state in self.layer_states:
             k = state.layer_index
             wm = net.layers[k].weight_matrix()
             g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
             if self.optimizer == "sgd-g":
-                y_new, tau_new, h_norm = optim.sgdg_update(
+                y_new, tau_new, _ = optim.sgdg_update(
                     wm, g, state.tau, lr_g, self.sgdg_hyper, base=state.base
                 )
                 v_new, t_new = state.v, state.t
-                # contribution of this gradient to total rotation: lr*|clip(h)|/(1-gamma)
-                clipped = min(float(h_norm.max()), self.sgdg_hyper.nu)
-                max_contrib = max(max_contrib, lr_g * clipped / (1.0 - self.sgdg_hyper.gamma))
             else:
                 y_new, tau_new, v_new, _ = optim.adamg_update(
                     wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, base=state.base
@@ -229,7 +214,6 @@ class Trainer:
             loss=loss,
             mean_angle=float(angles_arr.mean()),
             max_angle=float(angles_arr.max()),
-            max_sgdg_contribution=max_contrib,
         )
 
     def train_epoch(self, x, labels, batch_size: int, lr_g: float, lr_e: float) -> EpochStats:

@@ -18,7 +18,6 @@ from .errors import DimensionError, NumericalError, PreconditionError
 
 __all__ = [
     "OPTIMIZERS",
-    "GRASSMANN_OPTIMIZERS",
     "default_eta_g",
     "SgdGHyper",
     "AdamGHyper",
@@ -68,8 +67,7 @@ class AdamGHyper:
             raise PreconditionError(f"nu must be positive, got {self.nu}")
 
 
-GRASSMANN_OPTIMIZERS = ("sgd-g", "adam-g")
-OPTIMIZERS = ("sgd",) + GRASSMANN_OPTIMIZERS
+OPTIMIZERS = ("sgd", "sgd-g", "adam-g")
 
 
 def default_eta_g(optimizer: str) -> float:

@@ -206,6 +206,33 @@ def test_load_csv_refuses_repeated_column(tmp_path, header):
         load_csv(path, {"label": "label", "num_classes": 2})
 
 
+def test_load_csv_label_only_has_no_feature_columns(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n0\n1\n1\n")
+    ds = load_csv(path, {"label": "label", "num_classes": 2})
+    assert ds.train_x.shape == (3, 0) and ds.test_x.shape == (0, 0)
+
+
+def test_load_csv_peak_memory_is_one_copy_of_the_result(tmp_path):
+    rng = np.random.default_rng(37)
+    raw = rng.integers(0, 256, (512, 784))
+    labels = np.arange(512) % 10
+    path = tmp_path / "wide.csv"
+    lines = [",".join([f"f{i}" for i in range(784)] + ["label"])]
+    lines += [",".join(map(str, [*row, label])) for row, label in zip(raw.tolist(), labels.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, {"label": "label", "num_classes": 10})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.train_x.dtype == np.float64 and ds.train_x.flags.writeable
+    assert np.array_equal(ds.train_x, raw) and np.array_equal(ds.train_y, labels)
+    returned = sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
+    assert peak <= 1.15 * returned, f"peak {peak} bytes for {returned} bytes of arrays"
+
+
 # ------------------------------------------------------------ normalization
 
 def test_normalize_standardizes_train_split():

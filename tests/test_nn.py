@@ -687,16 +687,17 @@ def test_train_step_preserves_unit_columns():
 
 
 def test_training_is_deterministic_for_fixed_seed():
-    losses = []
+    angles, params = [], []
     for _ in range(2):
         rng = np.random.default_rng(123)
         net = build_mlp(6, (4,), 3, rng)
         trainer = Trainer(net, "sgd-g", rng=rng)
         data_rng = np.random.default_rng(7)
         x, labels = _toy_data(data_rng)
-        trajectory = [trainer.train_epoch(x, labels, 8, 0.2, 0.01).mean_loss for _ in range(5)]
-        losses.append(trajectory)
-    assert losses[0] == losses[1]
+        angles.append([trainer.train_epoch(x, labels, 8, 0.2, 0.01).mean_angle for _ in range(5)])
+        params.append([arr.tobytes() for layer in net.layers for arr in layer.params().values()])
+    assert angles[0] == angles[1]
+    assert params[0] == params[1]
 
 
 def test_baseline_sgd_treats_everything_euclidean():
