@@ -11,6 +11,8 @@ do not check that points are unit or vectors tangent; callers that rely on
 it say so with :func:`require_unit` and :func:`require_tangent`.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
@@ -33,6 +35,11 @@ DEGENERATE_STEP = 1e-12
 UNIT_TOL = 1e-9
 _TANGENCY_TOL = 1e-9
 
+# Elementwise chains run over blocks of whole rows of at most this many bytes, so
+# that each block and the one block of scratch stay in cache between the passes of
+# a chain. Reductions stay whole-array: a blocked einsum sums in another order.
+_BLOCK_BYTES = 1 << 17
+
 
 def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products of matching columns: 0-d for vectors, shape (p,) for n-by-p arrays."""
@@ -41,6 +48,17 @@ def _col_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _col_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_col_inner(a, a))
+
+
+def _row_blocks(shape: tuple) -> list:
+    """``(rows, scratch)`` pairs over an array of ``shape``: a slice over a block of whole
+    rows, and a float64 scratch array of that block's shape. One scratch buffer serves
+    every block."""
+    step = _BLOCK_BYTES // (8 * max(1, math.prod(shape[1:])))
+    if not shape or step >= shape[0]:  # one block; a 0-d array is one too
+        return [(..., np.empty(shape))]
+    scratch = np.empty((max(1, step),) + shape[1:])
+    return [(slice(i, i + len(scratch)), scratch[: shape[0] - i]) for i in range(0, shape[0], len(scratch))]
 
 
 def require_unit(y: np.ndarray, what: str = "point") -> None:
@@ -75,29 +93,41 @@ def require_tangent(y: np.ndarray, v: np.ndarray, what: str = "vector") -> np.nd
     return nv
 
 
-def project_columns(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``h = g - (y^T g) y`` per column: the Riemannian gradient of a Euclidean gradient ``g``."""
-    h = y * -_col_inner(y, g)
-    h += g
+def project_columns(y: np.ndarray, g: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """``h = g - (y^T g) y`` per column: the Riemannian gradient of a Euclidean gradient ``g``.
+
+    With ``overwrite``, ``h`` is written over ``g``, which must then be a
+    writable float64 array, and ``g`` itself is returned.
+    """
+    neg_coef = -_col_inner(y, g)
+    h = g if overwrite else np.empty(np.shape(g))
+    for rows, scratch in _row_blocks(h.shape):
+        np.add(np.multiply(y[rows], neg_coef, out=scratch), g[rows], out=h[rows])
     return h
 
 
 def clip_columns(
-    h: np.ndarray, nu: float, norms: np.ndarray | None = None
+    h: np.ndarray, nu: float, norms: np.ndarray | None = None, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cap each column norm at ``nu``; returns (clipped copy, norms before clipping).
 
     Columns at or below ``nu`` are copied unchanged. ``norms``, if given, must
     be the column norms of ``h`` (as :func:`require_tangent` returns them).
+    With ``overwrite`` the clipped columns may be written over ``h``; callers
+    use the returned array either way.
     """
     if nu <= 0.0:
         raise PreconditionError(f"clip threshold must be positive, got {nu}")
     nh = _col_norm(h) if norms is None else norms
-    return h * (nu / np.maximum(nh, nu)), nh
+    return np.multiply(h, nu / np.maximum(nh, nu), out=h if overwrite else None), nh
 
 
 def geodesic_columns(
-    y: np.ndarray, d: np.ndarray, delta: np.ndarray | None = None, norms: np.ndarray | None = None
+    y: np.ndarray,
+    d: np.ndarray,
+    delta: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
+    overwrite: bool = False,
 ):
     """Follow the geodesic from ``y`` with velocity ``d`` for unit time, column by column.
 
@@ -109,31 +139,45 @@ def geodesic_columns(
 
     The transported vector is tangent at the new point and keeps its norm.
     Columns with ``|d| < DEGENERATE_STEP`` keep ``y`` and ``delta`` unchanged.
-    ``norms``, if given, must be the column norms ``|d|``.
+    ``norms``, if given, must be the column norms ``|d|``. With ``overwrite``,
+    ``d`` and ``delta`` are used as scratch and the transported vector is
+    written over ``delta`` (over ``d`` when ``delta`` is None); both must then
+    be writable float64 arrays that share no memory with ``y`` or each other.
     """
     nd = _col_norm(d) if norms is None else norms
     still = nd < DEGENERATE_STEP
     safe = np.where(still, 1.0, nd)
     cos, sin = np.cos(nd), np.sin(nd)
+    if not overwrite:
+        d = np.array(d, dtype=np.float64)
+        delta = None if delta is None else np.array(delta, dtype=np.float64)
+    moved = d if delta is None else delta
+    kept = moved[..., still] if np.any(still) else None  # the still columns, restored at the end
 
-    scratch = d * (sin / safe)
-    y_new = y * cos
-    y_new += scratch
+    y_new = np.empty(np.shape(y))
+    sin_u = sin / safe
+    nd_sin = nd * sin if delta is None else None
+    for rows, scratch in _row_blocks(y_new.shape):
+        y_blk, d_blk, new_blk = y[rows], d[rows], y_new[rows]
+        np.multiply(y_blk, cos, out=new_blk)
+        new_blk += np.multiply(d_blk, sin_u, out=scratch)
+        if delta is None:
+            d_blk *= cos
+            d_blk -= np.multiply(y_blk, nd_sin, out=scratch)
     y_new /= _col_norm(y_new)
 
-    if delta is None:
-        moved = d * cos
-        moved -= np.multiply(y, nd * sin, out=scratch)
-    else:
-        bend = d / safe  # u, bent in place once its inner product with delta is taken
-        coef = _col_inner(bend, delta)
-        bend *= 1.0 - cos
-        bend += np.multiply(y, sin, out=scratch)
-        bend *= coef
-        moved = delta - bend
-    if np.any(still):
+    if delta is not None:
+        d /= safe  # u, bent in place once its inner product with delta is taken
+        coef = _col_inner(d, delta)
+        for rows, scratch in _row_blocks(d.shape):
+            bend = d[rows]
+            bend *= 1.0 - cos
+            bend += np.multiply(y[rows], sin, out=scratch)
+            bend *= coef
+            np.subtract(delta[rows], bend, out=delta[rows])
+    if kept is not None:
         np.copyto(y_new, y, where=still)
-        np.copyto(moved, d if delta is None else delta, where=still)
+        moved[..., still] = kept
     return y_new, moved
 
 

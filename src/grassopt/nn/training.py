@@ -11,8 +11,13 @@ partition and treats every parameter as Euclidean.
 A step applies completely or not at all: every Grassmann update is computed
 and checked, and every Euclidean parameter's inputs are checked, before any
 parameter, optimizer state or BN statistic is written. The commit then copies
-the Grassmann results into place and applies the Euclidean steps, which write
-their parameters and velocities in place on the inputs already checked.
+each new Grassmann point into the network's weights, hands the fresh result
+arrays to the layer's optimizer state, and applies the Euclidean steps, which
+write their parameters and velocities in place on the inputs already checked.
+
+The step owns the gradients that the backward returns, and the updates work in
+them: a Grassmann update turns its layer's gradient into the new momentum, and
+a Euclidean step adds its decay term into its gradient.
 """
 
 from dataclasses import dataclass
@@ -178,15 +183,15 @@ class Trainer:
         for state in self.layer_states:
             k = state.layer_index
             wm = net.layers[k].weight_matrix()
+            # The backward's gradient is a fresh array that nothing else reads: the
+            # update consumes it, and it comes back as the new momentum.
             g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
             if self.optimizer == "sgd-g":
-                y_new, tau_new, _ = optim.sgdg_update(
-                    wm, g, state.tau, lr_g, self.sgdg_hyper, base=state.base
-                )
+                y_new, tau_new, _ = optim._sgdg_step(wm, g, state.tau, lr_g, self.sgdg_hyper, state.base)
                 v_new, t_new = state.v, state.t
             else:
-                y_new, tau_new, v_new, _ = optim.adamg_update(
-                    wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, base=state.base
+                y_new, tau_new, v_new, _ = optim._adamg_step(
+                    wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, state.base
                 )
                 t_new = state.t + 1
             angles.append(angle_columns(wm, y_new))
@@ -199,12 +204,11 @@ class Trainer:
             g = optim._check_euclidean_inputs(w, grads[ref.layer_index][ref.name], velocity)
             euclid.append((ref, w, g, velocity))
 
-        # Copied into the existing buffers, so long-lived arrays are not reallocated every step.
+        # The results are fresh arrays, so the state takes them as they are; only the
+        # network's weights, which its layers hold, are written in place.
         for state, wm, y_new, tau_new, v_new, t_new in grassmann:
             wm[...] = y_new
-            state.base[...] = y_new
-            state.tau[...] = tau_new
-            state.v, state.t = v_new, t_new
+            state.base, state.tau, state.v, state.t = y_new, tau_new, v_new, t_new
         for ref, w, g, velocity in euclid:
             optim._apply_euclidean_step(w, g, velocity, lr_e, self.euclid_hyper, self.decay_groups[ref.group])
         net.apply_running_updates(caches)

@@ -120,8 +120,7 @@ def schedule_lr(schedule: LrSchedule, epoch: int) -> float:
 
 
 def _check_update_inputs(y, g, tau, lr, base):
-    """Shared preconditions of the Grassmann updates; returns ``g`` as a float array."""
-    g = np.asarray(g, dtype=np.float64)
+    """Shared preconditions of the Grassmann updates; ``g`` is a float64 array."""
     if g.shape != y.shape or tau.shape != y.shape:
         raise DimensionError(
             f"gradient {g.shape} and momentum {tau.shape} must match the point {y.shape}"
@@ -133,16 +132,16 @@ def _check_update_inputs(y, g, tau, lr, base):
     if not np.array_equal(base, y):
         raise PreconditionError("momentum state belongs to a different point")
     manifold.require_unit(y, "point")
-    return g
 
 
 def _projected_clipped(y, g, nu):
-    h = manifold.project_columns(y, g)
+    """``(norm_clip(project(g), nu), |project(g)|)``; the projection is written over ``g``."""
+    h = manifold.project_columns(y, g, overwrite=True)
     try:
         h_norm = manifold.require_tangent(y, h, "projected gradient")
     except PreconditionError:  # y is unit and g finite: cancellation in g - (y^T g) y, g nearly parallel to y
         raise NumericalError(f"projected gradient lost tangency to rounding, point shape {y.shape}") from None
-    return manifold.clip_columns(h, nu, h_norm)
+    return manifold.clip_columns(h, nu, h_norm, overwrite=True)
 
 
 def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
@@ -160,17 +159,27 @@ def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
         y' = exp_y(d),  tau' = pt_y(d)
 
     ``base`` is the array the momentum was last left tangent at; it must
-    equal ``y``, or the state belongs to a different point. Nothing is modified in place. Returns
-    ``(y', tau', |h|)``, the last being the unclipped gradient norms.
+    equal ``y``, or the state belongs to a different point. Nothing is
+    modified in place: ``g`` is copied once, and the copy becomes ``tau'``.
+    Returns ``(y', tau', |h|)``, the last being the unclipped gradient norms.
     """
-    g = _check_update_inputs(y, g, tau, lr, base)
-    h_hat, h_norm = _projected_clipped(y, g, hyper.nu)
-    h_hat *= lr
-    d = hyper.gamma * tau
-    d -= h_hat
-    del h_hat
+    return _sgdg_step(y, np.array(g, dtype=np.float64), tau, lr, hyper, base)
+
+
+def _sgdg_step(y, g, tau, lr, hyper, base):
+    """:func:`sgdg_update` on a gradient it consumes.
+
+    ``g`` must be a writable float64 array that shares no memory with the
+    other arguments. It holds ``h``, then ``d``, and is returned as ``tau'``.
+    """
+    _check_update_inputs(y, g, tau, lr, base)
+    d, h_norm = _projected_clipped(y, g, hyper.nu)
+    for rows, scratch in manifold._row_blocks(d.shape):
+        d_blk = d[rows]
+        d_blk *= lr
+        np.subtract(np.multiply(tau[rows], hyper.gamma, out=scratch), d_blk, out=d_blk)
     d_norm = manifold.require_tangent(y, d, "step")
-    y_new, tau_new = manifold.geodesic_columns(y, d, norms=d_norm)
+    y_new, tau_new = manifold.geodesic_columns(y, d, norms=d_norm, overwrite=True)
     manifold.require_unit(y_new, "new point")
     manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, h_norm
@@ -191,21 +200,28 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
         d     = -eta_t * m / sqrt(v + eps)
         y'    = exp_y(d),  tau' = pt_y(m; d)
 
-    Returns ``(y', tau', v', |h|)``; the step count becomes ``t + 1``.
+    Nothing is modified in place: ``g`` is copied once, and the copy becomes
+    ``tau'``. Returns ``(y', tau', v', |h|)``; the step count becomes ``t + 1``.
     """
-    g = _check_update_inputs(y, g, tau, lr, base)
+    return _adamg_step(y, np.array(g, dtype=np.float64), tau, v, t, lr, hyper, base)
+
+
+def _adamg_step(y, g, tau, v, t, lr, hyper, base):
+    """:func:`adamg_update` on a gradient it consumes, as in :func:`_sgdg_step`:
+    ``g`` holds ``h``, then ``m``, and is returned as ``tau'``."""
+    _check_update_inputs(y, g, tau, lr, base)
     t = t + 1
     eta_t = lr * np.sqrt(1.0 - hyper.beta2**t) / (1.0 - hyper.beta1**t)
-    h_hat, h_norm = _projected_clipped(y, g, hyper.nu)
+    m, h_norm = _projected_clipped(y, g, hyper.nu)
     v_new = hyper.beta2 * v + (1.0 - hyper.beta2) * np.minimum(h_norm, hyper.nu) ** 2
-    h_hat *= 1.0 - hyper.beta1
-    m = hyper.beta1 * tau
-    m += h_hat
-    del h_hat
+    for rows, scratch in manifold._row_blocks(m.shape):
+        m_blk = m[rows]
+        m_blk *= 1.0 - hyper.beta1
+        np.add(np.multiply(tau[rows], hyper.beta1, out=scratch), m_blk, out=m_blk)
     manifold.require_tangent(y, m, "momentum")
     d = (-eta_t / np.sqrt(v_new + hyper.epsilon)) * m
     d_norm = manifold.require_tangent(y, d, "step")
-    y_new, tau_new = manifold.geodesic_columns(y, d, m, norms=d_norm)
+    y_new, tau_new = manifold.geodesic_columns(y, d, m, norms=d_norm, overwrite=True)
     manifold.require_unit(y_new, "new point")
     manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, v_new, h_norm
@@ -263,17 +279,18 @@ def euclidean_sgd_step(
 
 def _apply_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
     """The writes of :func:`euclidean_sgd_step`, on inputs that passed ``_check_euclidean_inputs``."""
-    tmp = np.empty_like(w)
-    if apply_weight_decay and hyper.weight_decay != 0.0:
-        np.multiply(w, hyper.weight_decay, out=tmp)
-        g += tmp
-    velocity *= hyper.momentum
-    velocity += g
-    if hyper.nesterov:
-        np.multiply(velocity, hyper.momentum, out=tmp)
-        tmp += g
-        tmp *= lr
-    else:
-        np.multiply(velocity, lr, out=tmp)
-    w -= tmp
+    decay = apply_weight_decay and hyper.weight_decay != 0.0
+    for rows, tmp in manifold._row_blocks(w.shape):
+        w_blk, g_blk, v_blk = w[rows], g[rows], velocity[rows]
+        if decay:
+            g_blk += np.multiply(w_blk, hyper.weight_decay, out=tmp)
+        v_blk *= hyper.momentum
+        v_blk += g_blk
+        if hyper.nesterov:
+            np.multiply(v_blk, hyper.momentum, out=tmp)
+            tmp += g_blk
+            tmp *= lr
+        else:
+            np.multiply(v_blk, lr, out=tmp)
+        w_blk -= tmp
     return w, velocity

@@ -80,7 +80,7 @@ def test_criterion_03_step_size_bounds():
 
 def test_criterion_03_catches_an_unclipped_step(monkeypatch):
     # The SGD-G bound rests on the clip: a run whose gradients are not clipped must break it.
-    monkeypatch.setattr(manifold, "clip_columns", lambda h, nu, norms=None: (h.copy(), norms))
+    monkeypatch.setattr(manifold, "clip_columns", lambda h, nu, norms=None, overwrite=False: (h.copy(), norms))
     assert _toy_training_maxima("sgd-g") > 0.2
 
 

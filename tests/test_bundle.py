@@ -113,9 +113,9 @@ def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
     shapes = []
     real_geodesic = manifold.geodesic_columns
 
-    def recording(y, d, delta=None, norms=None):
+    def recording(y, d, delta=None, norms=None, overwrite=False):
         shapes.append(y.shape)
-        return real_geodesic(y, d, delta, norms)
+        return real_geodesic(y, d, delta, norms, overwrite)
 
     monkeypatch.setattr(manifold, "geodesic_columns", recording)
     trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
@@ -258,6 +258,50 @@ def _trained():
     for _ in range(3):
         trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     return trainer, (x, labels)
+
+
+def _assert_no_shared_memory(arrays):
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+@pytest.mark.parametrize("build", [_mlp, _convnet], ids=["mlp", "conv"])
+def test_step_state_owns_its_buffers(build, optimizer, tmp_path, monkeypatch):
+    # The update turns each layer's gradient into its new momentum and the state keeps the
+    # fresh point, so weights, momenta, base points, velocities and the next step's
+    # gradients must all be distinct memory; a restored trainer must step to the same bytes.
+    rng = np.random.default_rng(52)
+    trainer = Trainer(build(np.random.default_rng(53)), optimizer)
+    lr_g = optim.default_eta_g(optimizer)
+    for _ in range(3):
+        trainer.train_step(*_batch(build, rng), lr_g, 0.01)
+    save_checkpoint(tmp_path / "ckpt.npz", trainer)
+    restored = load_checkpoint(tmp_path / "ckpt.npz")
+
+    def owned(tr):
+        arrays = [tr.net.layers[s.layer_index].weight_matrix() for s in tr.layer_states]
+        return arrays + [a for s in tr.layer_states for a in (s.tau, s.base)] + tr.velocities
+
+    before, seen = owned(trainer), []
+    real = trainer.net.loss_and_grads
+
+    def recording(*args, **kwargs):
+        loss, grads, caches = real(*args, **kwargs)
+        seen.append(grads)
+        return loss, grads, caches
+
+    monkeypatch.setattr(trainer.net, "loss_and_grads", recording)
+    bx, by = _batch(build, rng)
+    trainer.train_step(bx, by, lr_g, 0.01)
+    restored.train_step(bx, by, lr_g, 0.01)
+    _assert_no_shared_memory(before + [g for layer in seen[0] for g in layer.values()])
+    _assert_no_shared_memory(owned(trainer))
+    for state in trainer.layer_states:  # the update consumed the gradient of its layer
+        layer = trainer.net.layers[state.layer_index]
+        assert np.shares_memory(state.tau, seen[0][state.layer_index][layer.weight_name])
+    assert _snapshot(restored) == _snapshot(trainer)
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from grassopt.nn import (
     softmax_ce,
 )
 from grassopt.nn.layers import FlattenLayer
-from grassopt.optim import EuclideanHyper
+from grassopt.optim import EuclideanHyper, default_eta_g
 
 import bn_oracle
 import conv_oracle
@@ -557,6 +557,27 @@ def test_evaluate_memory_does_not_grow_with_the_split():
         tracemalloc.stop()
     assert abs(large - small) <= 0.1 * small, (small, large)
     assert large < cached, (large, cached)
+
+
+@pytest.mark.parametrize("optimizer, bound", [("sgd-g", 3.25), ("adam-g", 4.5), ("sgd", 1.9)])
+def test_train_step_transient_memory_in_weights_of_the_first_layer(optimizer, bound):
+    # The updates work in the gradients the backward returns and run their elementwise
+    # chains in row blocks, so one step of the 784-(256,128) MLP allocates at most `bound`
+    # times the bytes of its 784x256 weight; whole-array temporaries and a copying commit
+    # read 5.4x, 7.4x and 2.37x.
+    rng = np.random.default_rng(35)
+    trainer = Trainer(build_mlp(784, (256, 128), 10, rng), optimizer)
+    x, labels = rng.standard_normal((32, 784)), rng.integers(0, 10, 32)
+    lr_g = default_eta_g(optimizer)
+    for _ in range(2):  # momenta and velocities in place
+        trainer.train_step(x, labels, lr_g, 0.01)
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(lambda: trainer.train_step(x, labels, lr_g, 0.01))
+    finally:
+        tracemalloc.stop()
+    ratio = peak / trainer.net.layers[0].weight_matrix().nbytes
+    assert ratio <= bound, ratio
 
 
 def test_forward_scale_invariance_of_partitioned_columns():

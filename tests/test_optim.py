@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from grassopt import manifold
+import update_oracle
+from grassopt import manifold, optim
 from grassopt.errors import NumericalError, PreconditionError
 from grassopt.optim import (
     AdamGHyper,
@@ -215,7 +216,7 @@ def _out_of_place_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
 
 @pytest.mark.parametrize("nesterov", [True, False])
 @pytest.mark.parametrize("decay", ["on", "off", "zero"])
-@pytest.mark.parametrize("shape", [(784, 256), (10,)])
+@pytest.mark.parametrize("shape", [(784, 256), (1000, 200), (10,)])
 def test_euclidean_in_place_matches_out_of_place_oracle(nesterov, decay, shape):
     rng = np.random.default_rng(41)
     hyper = EuclideanHyper(eta=0.01, momentum=0.9, weight_decay=0.0 if decay == "zero" else 0.0005,
@@ -328,3 +329,59 @@ def test_hyper_validation():
         AdamGHyper(nu=0.0)
     with pytest.raises(PreconditionError):
         EuclideanHyper(momentum=1.0)
+
+
+def test_oracle_shapes_end_in_a_partial_row_block():
+    # The updates run their elementwise chains over row blocks; 1000x200 ends in a short one.
+    lengths = [scratch.shape[0] for _, scratch in manifold._row_blocks((1000, 200))]
+    assert len(lengths) > 1 and lengths[-1] < lengths[0]
+
+
+def _bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _oracle_gradient(y, kinds, step, pool, rng):
+    """A gradient whose columns move (kind 0), are zero (1) or lie along ``y`` (2); all are zero
+    for the first 10 steps, so that columns without momentum take degenerate steps. Moving
+    columns draw from ``pool`` at a fresh scale per column, clipped or not."""
+    if step < 10:
+        return np.zeros(y.shape)
+    g = pool[step % len(pool)] * 10.0 ** rng.uniform(-4.0, 1.0, y.shape[1:])
+    g[..., kinds == 1] = 0.0
+    g[..., kinds == 2] = y[..., kinds == 2] * rng.standard_normal(np.count_nonzero(kinds == 2))
+    return g
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+@pytest.mark.parametrize("shape", [(20000,), (3000, 1), (784, 256), (1000, 200)])
+def test_updates_match_out_of_place_oracle_bytes(optimizer, shape):
+    # The trainer's update works in its gradient's buffer and in row blocks; the bytes of
+    # every output must stay those of the old out-of-place update over a chained run.
+    rng = np.random.default_rng(44)
+    y = rng.standard_normal(shape)
+    y /= np.linalg.norm(y, axis=0)
+    tau, v = np.zeros(shape), np.zeros(shape[1:])
+    kinds = rng.integers(0, 3, shape[1:]) if len(shape) == 2 and shape[1] > 1 else np.zeros(shape[1:], int)
+    sgdg, adamg = SgdGHyper(), AdamGHyper()
+    y0, pool = y, rng.standard_normal((3,) + shape)
+    for step in range(300):
+        g = _oracle_gradient(y, kinds, step, pool, rng)
+        if optimizer == "sgd-g":
+            args = (y, g, tau, 0.2, sgdg, y)
+            oracle, public, program = update_oracle.sgdg_update, sgdg_update, optim._sgdg_step
+        else:
+            args = (y, g, tau, v, step, 0.05, adamg, y)
+            oracle, public, program = update_oracle.adamg_update, adamg_update, optim._adamg_step
+        want = _bytes(oracle(*args))
+        if step == 10:  # the public update copies g and takes the same path
+            assert _bytes(public(*args)) == want
+        got = program(*args)  # consumes g
+        assert _bytes(got) == want, step
+        if step < 10:
+            assert got[0].tobytes() == y.tobytes()
+        y, tau = got[0], got[1]
+        if optimizer == "adam-g":
+            v = got[2]
+    assert np.array_equal(y[..., kinds == 1], y0[..., kinds == 1])  # zero gradient, no momentum
+    assert not np.array_equal(y[..., kinds == 0], y0[..., kinds == 0])
