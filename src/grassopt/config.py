@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, PreconditionError
 from .nn.layers import BN_EPS, BN_MOMENTUM
 from .nn.training import ORTHO_ALPHA
-from .optim import OPTIMIZERS, AdamGHyper, EuclideanHyper, LrSchedule, SgdGHyper, default_eta_g
+from .optim import ETA_E, OPTIMIZERS, AdamGHyper, EuclideanHyper, LrSchedule, SgdGHyper, default_eta_g
 
 __all__ = ["TrainConfig", "SCHEMA", "load_config", "make_config", "config_to_ini"]
 
@@ -58,17 +58,12 @@ def _key(section, converter, default):
     return field(default=default, metadata={"section": section, "converter": converter})
 
 
-def _named_rate(key, hyper, **values):
-    """``hyper(**values)``, with a refused ``eta`` reported under its config key ``key``.
-
-    The hyper objects' messages start with the field's name, and every other
-    field's name is its config key.
-    """
+def _named_rate(key, rate, milestones, factor):
+    """The schedule of ``rate``; a refused rate is reported under its config key, not ``initial rate``."""
     try:
-        return hyper(**values)
+        return LrSchedule(rate, milestones, factor)
     except PreconditionError as exc:
-        text = str(exc)
-        raise PreconditionError(key + text[len("eta"):] if text.startswith("eta ") else text) from None
+        raise PreconditionError(str(exc).replace("initial rate", key, 1)) from None
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class TrainConfig:
     bn_eps: float = _key("model", float, BN_EPS)
     bn_momentum: float = _key("model", float, BN_MOMENTUM)
     optimizer: str = _key("optimizer", str, "sgd-g")
-    eta_e: float = _key("optimizer", float, EuclideanHyper.eta)
+    eta_e: float = _key("optimizer", float, ETA_E)
     eta_g: float | None = _key("optimizer", _optional_float, None)
     gamma: float = _key("optimizer", float, SgdGHyper.gamma)
     beta1: float = _key("optimizer", float, AdamGHyper.beta1)
@@ -145,13 +140,11 @@ class TrainConfig:
     def optimizer_objects(self):
         """The run's ``(euclid, sgdg, adamg, schedule_e, schedule_g)``; each checks its own values."""
         return (
-            _named_rate("eta_e", EuclideanHyper, eta=self.eta_e, weight_decay=self.weight_decay,
-                        nesterov=self.nesterov),
-            _named_rate("eta_g", SgdGHyper, eta=self.eta_g, gamma=self.gamma, nu=self.nu),
-            _named_rate("eta_g", AdamGHyper, eta=self.eta_g, beta1=self.beta1, beta2=self.beta2,
-                        nu=self.nu),
-            LrSchedule(self.eta_e, self.milestones, self.factor),
-            LrSchedule(self.eta_g, self.milestones, self.factor),
+            EuclideanHyper(weight_decay=self.weight_decay, nesterov=self.nesterov),
+            SgdGHyper(gamma=self.gamma, nu=self.nu),
+            AdamGHyper(beta1=self.beta1, beta2=self.beta2, nu=self.nu),
+            _named_rate("eta_e", self.eta_e, self.milestones, self.factor),
+            _named_rate("eta_g", self.eta_g, self.milestones, self.factor),
         )
 
 

@@ -2,11 +2,12 @@
 
 The on-disk format is an ``.npz`` archive holding every float64 array verbatim
 plus one JSON header describing the architecture, the partition, the optimizer
-hyperparameters, and the scalar optimizer state. Loading rebuilds a
-:class:`~grassopt.nn.training.Trainer` whose arrays compare bit-exact with the
-saved ones.
+hyperparameters, and the scalar optimizer state: only what loading reads, so
+no learning rate. Loading rebuilds a :class:`~grassopt.nn.training.Trainer`
+whose arrays compare bit-exact with the saved ones; it refuses an array that
+is not finite float64, and a save refuses one that is not finite.
 
-Format version 1 stores Grassmann state per point (column): the momentum of
+Format version 2 stores Grassmann state per point (column): the momentum of
 point ``i`` is the array ``point{i}.tau`` and its Adam-G scalars are entry
 ``i`` of the header's ``point_scalars``. Points are numbered over the
 Grassmann layers in order and the columns in order within each, so a layer
@@ -34,7 +35,7 @@ from .training import Trainer
 
 __all__ = ["CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _layer_arrays(net):
@@ -47,13 +48,14 @@ def _layer_arrays(net):
 
 
 def _points(trainer):
-    """Format 1's points as ``(layer, column, n)``: layers in order, then columns in order."""
+    """The format's points as ``(layer, column, n)``: layers in order, then columns in order."""
     return [
         (s.layer_index, j, s.tau.shape[0]) for s in trainer.layer_states for j in range(s.tau.shape[1])
     ]
 
 
 def save_checkpoint(path, trainer: Trainer) -> None:
+    """Write ``trainer`` to ``path`` atomically; NumericalError, ``path`` untouched, if not finite."""
     arrays = dict(_layer_arrays(trainer.net))
     states = {s.layer_index: s for s in trainer.layer_states}
     adam = trainer.optimizer == "adam-g"
@@ -63,13 +65,14 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         point_scalars.append({"v": float(states[k].v[j]), "t": states[k].t} if adam else {})
     for i, velocity in enumerate(trainer.velocities):
         arrays[f"euclid{i}.velocity"] = velocity
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"checkpoint array {name!r} is not finite; the previous checkpoint is kept")
 
     header = {
         "version": CHECKPOINT_VERSION,
         "net_meta": trainer.net.meta,
         "optimizer": trainer.optimizer,
-        "eta_e": trainer.euclid_hyper.eta,
-        "eta_g": (trainer.adamg_hyper if trainer.optimizer == "adam-g" else trainer.sgdg_hyper).eta,
         "alpha": trainer.alpha,
         "bn_weight_decay": trainer.decay_groups["bn"],
         "euclid_hyper": vars(trainer.euclid_hyper),
@@ -78,7 +81,6 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "partition": {
             "points": _points(trainer),
             "euclidean": [[ref.layer_index, ref.name, ref.group] for ref in trainer.partition.euclidean],
-            "grassmann_layers": list(trainer.partition.grassmann_layers),
         },
         "point_scalars": point_scalars,
     }
@@ -104,12 +106,14 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
 
 def _array(arrays, name, shape):
-    """The stored array ``name``, which must have ``shape``; ValidationError otherwise."""
+    """The stored array ``name``, which must be finite float64 of ``shape``; ValidationError otherwise."""
     if name not in arrays:
         raise ValidationError(f"checkpoint has no array {name!r}")
     arr = arrays[name]
     if arr.shape != tuple(shape):
         raise ValidationError(f"checkpoint array {name!r} has shape {arr.shape}, expected {tuple(shape)}")
+    if arr.dtype != np.float64 or not np.isfinite(arr).all():
+        raise ValidationError(f"checkpoint array {name!r} ({arr.dtype}) is not finite float64")
     return arr
 
 

@@ -5,7 +5,9 @@ gradient, and the previous state, and return the new point and state. Momenta
 live in the tangent space of the current point and are moved by parallel
 translation at every step. ``sgdg_update``/``adamg_update`` act on arrays of
 shape (n,) or (n, p): a single point is an ``(n,)`` unit vector, and one call
-steps every column of an n-by-p weight matrix.
+steps every column of an n-by-p weight matrix. A rate belongs to its
+:class:`LrSchedule`, which checks it, and reaches an update as ``lr``; the
+hyperparameter objects hold and check only the algorithms' constants.
 """
 
 import bisect
@@ -18,6 +20,7 @@ from .errors import DimensionError, NumericalError, PreconditionError
 
 __all__ = [
     "OPTIMIZERS",
+    "ETA_E",
     "default_eta_g",
     "SgdGHyper",
     "AdamGHyper",
@@ -34,13 +37,10 @@ __all__ = [
 class SgdGHyper:
     """Hyperparameters of SGD with momentum on G(1, n)."""
 
-    eta: float = 0.2
     gamma: float = 0.9
     nu: float = 0.1
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise PreconditionError(f"eta must be positive, got {self.eta}")
         if not 0.0 <= self.gamma < 1.0:
             raise PreconditionError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.nu <= 0.0:
@@ -51,42 +51,39 @@ class SgdGHyper:
 class AdamGHyper:
     """Hyperparameters of Adam on G(1, n); one adaptive rate per weight vector."""
 
-    eta: float = 0.05
     beta1: float = 0.9
     beta2: float = 0.99
     nu: float = 0.1
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise PreconditionError(f"eta must be positive, got {self.eta}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= b < 1.0:
                 raise PreconditionError(f"{name} must be in [0, 1), got {b}")
         if self.nu <= 0.0:
             raise PreconditionError(f"nu must be positive, got {self.nu}")
+        if self.epsilon <= 0.0:
+            raise PreconditionError(f"epsilon must be positive, got {self.epsilon}")
 
 
 OPTIMIZERS = ("sgd", "sgd-g", "adam-g")
+ETA_E = 0.01  # default rate of the Euclidean parameters
 
 
 def default_eta_g(optimizer: str) -> float:
-    """The Grassmann rate used when none is given: SGD-G's default, else Adam-G's."""
-    return SgdGHyper.eta if optimizer == "sgd-g" else AdamGHyper.eta
+    """The Grassmann rate used when none is given: 0.2 for SGD-G, else Adam-G's 0.05."""
+    return 0.2 if optimizer == "sgd-g" else 0.05
 
 
 @dataclass(frozen=True)
 class EuclideanHyper:
     """Hyperparameters of the SGD-with-Nesterov-momentum baseline."""
 
-    eta: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
     nesterov: bool = True
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise PreconditionError(f"eta must be positive, got {self.eta}")
         if not 0.0 <= self.momentum < 1.0:
             raise PreconditionError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:

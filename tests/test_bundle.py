@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -431,6 +432,7 @@ def _with_header(src, dst, edit):
     ("sgdg_hyper", "nu", -1.0),
     ("euclid_hyper", "eta", -5.0),
     ("euclid_hyper", "momentum", -1.0),
+    ("adamg_hyper", "epsilon", 0.0),
     ("euclid_hyper", "weight_decay", -2.0),
     ("net_meta", "bn_eps", 0.0),
     ("net_meta", "kind", "rnn"),
@@ -455,9 +457,9 @@ def test_negative_alpha_in_header_raises_validation_error(tmp_path):
 
 def test_checkpoint_restores_every_hyperparameter(tmp_path):
     hypers = {
-        "euclid": optim.EuclideanHyper(eta=0.03, momentum=0.5, weight_decay=0.001, nesterov=False),
-        "sgdg": optim.SgdGHyper(eta=0.3, gamma=0.8, nu=0.2),
-        "adamg": optim.AdamGHyper(eta=0.07, beta1=0.8, beta2=0.95, nu=0.3, epsilon=1e-6),
+        "euclid": optim.EuclideanHyper(momentum=0.5, weight_decay=0.001, nesterov=False),
+        "sgdg": optim.SgdGHyper(gamma=0.8, nu=0.2),
+        "adamg": optim.AdamGHyper(beta1=0.8, beta2=0.95, nu=0.3, epsilon=1e-6),
     }
     for hyper in hypers.values():
         assert all(getattr(hyper, f.name) != f.default for f in dataclasses.fields(hyper))
@@ -471,3 +473,65 @@ def test_checkpoint_restores_every_hyperparameter(tmp_path):
     assert restored.adamg_hyper == hypers["adamg"]
     assert restored.alpha == 0.05 != training.ORTHO_ALPHA
     assert restored.decay_groups["bn"] is True
+
+
+def test_header_holds_only_what_loading_reads(tmp_path):
+    trainer, _ = _trained()
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, trainer)
+    with np.load(path) as archive:
+        header = json.loads(bytes(archive["__header__"]).decode())
+    assert header["version"] == 2
+    assert sorted(header) == sorted([
+        "version", "net_meta", "optimizer", "alpha", "bn_weight_decay",
+        "euclid_hyper", "sgdg_hyper", "adamg_hyper", "partition", "point_scalars",
+    ])
+    assert sorted(header["partition"]) == ["euclidean", "points"]
+
+
+def test_version_1_checkpoint_raises_validation_error(tmp_path):
+    trainer, _ = _trained()
+    good, old = tmp_path / "good.npz", tmp_path / "old.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, old, lambda header: header.__setitem__("version", 1))
+    with pytest.raises(ValidationError, match="unsupported checkpoint version 1"):
+        load_checkpoint(old)
+
+
+def _stored_forms(arr):
+    """Forms of a float64 array that a checkpoint may hold but loading must refuse."""
+    nan, inf = arr.copy(), arr.copy()
+    nan.flat[0], inf.flat[-1] = np.nan, -np.inf
+    return {
+        "text": np.full(arr.shape, "abc"),
+        "numeric_text": arr.astype(str),
+        "float32": arr.astype(np.float32),
+        "complex": arr.astype(np.complex128),
+        "nan": nan,
+        "inf": inf,
+    }
+
+
+@pytest.mark.parametrize("form", ["text", "numeric_text", "float32", "complex", "nan", "inf"])
+@pytest.mark.parametrize("name", ["layer0.W", "layer1.running_var", "layer6.W", "point3.tau", "euclid0.velocity"])
+def test_array_that_is_not_finite_float64_raises_validation_error(tmp_path, name, form):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    with np.load(good) as archive:
+        stored = _stored_forms(archive[name])[form]
+    _rewrite(good, bad, **{name: stored})
+    with pytest.raises(ValidationError, match=re.escape(repr(name))):
+        load_checkpoint(bad)
+
+
+def test_save_refuses_non_finite_state_and_keeps_previous_checkpoint(tmp_path):
+    trainer, _ = _trained()
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, trainer)
+    before = path.read_bytes()
+    trainer.net.layers[4].running_var[0] = np.inf
+    with pytest.raises(NumericalError, match="layer4.running_var"):
+        save_checkpoint(path, trainer)
+    assert os.listdir(tmp_path) == ["checkpoint.npz"]
+    assert path.read_bytes() == before

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,3 +276,20 @@ def test_check_failure_exit_code(monkeypatch):
         lambda seed=0: [checks.CheckResult("manifold", "probe", False, 1.0, 0.0, 1)],
     )
     assert cli.main(["check"]) == 1
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # ``python -m grassopt`` runs the same ``main`` as the installed command, in a fresh process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def grassopt(*args):
+        return subprocess.run([sys.executable, "-m", "grassopt", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+
+    check = grassopt("check", "--seed", "0")
+    assert check.returncode == 0, check.stderr
+    assert "total: 13/13 properties passed" in check.stdout
+    train = grassopt("train", "--eta_e", "0", "--out_dir", str(tmp_path / "run"))
+    assert (train.returncode, train.stderr) == (1, "error: eta_e must be positive, got 0.0\n")
+    assert not (tmp_path / "run").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_sgdg_zero_gradient_is_fixed_point():
 
 def test_sgdg_analytic_single_step():
     y = np.array([1.0, 0.0])
-    hyper = SgdGHyper(eta=0.2, gamma=0.9, nu=0.1)
+    hyper = SgdGHyper(gamma=0.9, nu=0.1)
     y2, tau2, _ = sgdg_update(y, np.array([0.0, 1.0]), np.zeros(2), 0.2, hyper, base=y)
     # clipped gradient [0, 0.1], step d = [0, -0.02]
     assert y2 == pytest.approx([math.cos(0.02), -math.sin(0.02)], abs=1e-15)
@@ -46,8 +47,8 @@ def test_sgdg_analytic_single_step():
 def test_sgdg_cumulative_contribution_bound():
     # One gradient's total rotation over subsequent momentum steps is
     # lr * |clipped h| / (1 - gamma) <= 0.2 rad at the defaults.
-    hyper = SgdGHyper(eta=0.2, gamma=0.9, nu=0.1)
-    assert hyper.eta * hyper.nu / (1.0 - hyper.gamma) == pytest.approx(0.2)
+    hyper = SgdGHyper(gamma=0.9, nu=0.1)
+    assert 0.2 * hyper.nu / (1.0 - hyper.gamma) == pytest.approx(0.2)
     rng = np.random.default_rng(0)
     y = _unit(16, rng)
     tau = np.zeros(16)
@@ -119,7 +120,7 @@ def test_sgdg_rayleigh_descent_oracle():
         oracle_min = float(np.linalg.eigvalsh(a).min())
         y = _unit(8, rng)
         tau = np.zeros(8)
-        hyper = SgdGHyper(eta=0.01, gamma=0.0, nu=1e6)
+        hyper = SgdGHyper(gamma=0.0, nu=1e6)
         for _ in range(200):
             y, tau, _ = sgdg_update(y, 2.0 * (a @ y), tau, 0.01, hyper, base=y)
         assert float(y @ a @ y) - oracle_min < 1e-6
@@ -140,7 +141,7 @@ def test_adamg_first_step_algebra():
     # t=1 closed form: m1 = (1-b1) h, v1 = (1-b2)|h|^2, |d| <= lr (1-b1)/sqrt(1-b2) = lr.
     rng = np.random.default_rng(5)
     y = _unit(10, rng)
-    hyper = AdamGHyper(eta=0.05, beta1=0.9, beta2=0.99, nu=0.1)
+    hyper = AdamGHyper(beta1=0.9, beta2=0.99, nu=0.1)
     g = rng.standard_normal(10)
     h_hat, _ = manifold.clip_columns(manifold.project_columns(y, g), hyper.nu)
     lr = 0.05
@@ -219,7 +220,7 @@ def _out_of_place_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
 @pytest.mark.parametrize("shape", [(784, 256), (1000, 200), (10,)])
 def test_euclidean_in_place_matches_out_of_place_oracle(nesterov, decay, shape):
     rng = np.random.default_rng(41)
-    hyper = EuclideanHyper(eta=0.01, momentum=0.9, weight_decay=0.0 if decay == "zero" else 0.0005,
+    hyper = EuclideanHyper(momentum=0.9, weight_decay=0.0 if decay == "zero" else 0.0005,
                            nesterov=nesterov)
     apply_decay = decay != "off"
     w = rng.standard_normal(shape)
@@ -385,3 +386,46 @@ def test_updates_match_out_of_place_oracle_bytes(optimizer, shape):
             v = got[2]
     assert np.array_equal(y[..., kinds == 1], y0[..., kinds == 1])  # zero gradient, no momentum
     assert not np.array_equal(y[..., kinds == 0], y0[..., kinds == 0])
+
+
+@pytest.mark.parametrize("cls", [SgdGHyper, AdamGHyper, EuclideanHyper])
+def test_hypers_hold_no_rate(cls):
+    # the rate belongs to the schedule; an update takes it as ``lr``
+    with pytest.raises(TypeError):
+        cls(eta=0.2)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_adamg_refuses_nonpositive_epsilon(epsilon):
+    with pytest.raises(PreconditionError, match="epsilon must be positive"):
+        AdamGHyper(epsilon=epsilon)
+
+
+def _two_steps(hyper):
+    """Bytes of every output of two public steps of ``hyper``'s update on a fixed input. The
+    gradient's column norms run from 0.01 to 10, so the clip binds on some columns only."""
+    rng = np.random.default_rng(45)
+    y = rng.standard_normal((6, 4))
+    y /= np.linalg.norm(y, axis=0)
+    g = rng.standard_normal((6, 4)) * np.array([0.01, 0.05, 1.0, 10.0])
+    tau, v, out = np.zeros_like(y), np.zeros(4), []
+    for t in range(2):
+        if isinstance(hyper, SgdGHyper):
+            y, tau, h_norm = sgdg_update(y, g, tau, 0.2, hyper, base=y)
+            out += [y, tau, h_norm]
+        elif isinstance(hyper, AdamGHyper):
+            y, tau, v, h_norm = adamg_update(y, g, tau, v, t, 0.05, hyper, base=y)
+            out += [y, tau, v, h_norm]
+        else:
+            y, tau = euclidean_sgd_step(y.copy(), g.copy(), tau.copy(), 0.01, hyper)
+            out += [y, tau]
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in (SgdGHyper, AdamGHyper, EuclideanHyper) for f in dataclasses.fields(cls)
+])
+def test_no_optimizer_setting_is_ignored(cls, name):
+    default = getattr(cls(), name)
+    changed = dataclasses.replace(cls(), **{name: (not default) if isinstance(default, bool) else default / 2})
+    assert _two_steps(changed) != _two_steps(cls())
