@@ -165,41 +165,32 @@ def run_regularizer_suite(seed=0, fd_instances=20, minimum_instances=100,
     return results
 
 
-class _ColumnObjective:
-    """The trainer's objective (CE loss + ortho penalty) as a function of one unit column."""
+def _column_objective(trainer: Trainer, k: int, j: int, batch_x, batch_y):
+    """``(f, grad)``: ``Trainer.objective`` (CE loss + ortho penalty) on the batch as a function
+    of column ``j`` of layer ``k``, and the column's ambient gradient."""
+    layer = trainer.net.layers[k]
+    wm = layer.weight_matrix()  # the steps write the weights in place, so this stays the layer's
 
-    def __init__(self, trainer: Trainer, layer_index: int, column: int, batch_x, batch_y):
-        self.trainer = trainer
-        self.layer_index = layer_index
-        self.column = column
-        self.batch_x = batch_x
-        self.batch_y = batch_y
-        self.wname = trainer.net.layers[layer_index].weight_name
-
-    def _matrix(self):
-        return self.trainer.net.layers[self.layer_index].weight_matrix()
-
-    def _objective_at(self, y: np.ndarray):
-        """``Trainer.objective`` on the batch, with the column set to ``y``."""
-        wm = self._matrix()
-        saved = wm[:, self.column].copy()
-        wm[:, self.column] = y
+    def at(y):
+        saved = wm[:, j].copy()
+        wm[:, j] = y
         try:
-            return self.trainer.objective(self.batch_x, self.batch_y)
+            return trainer.objective(batch_x, batch_y)
         finally:
-            wm[:, self.column] = saved
+            wm[:, j] = saved
 
-    def f(self, y: np.ndarray) -> float:
-        loss, penalty, _, _ = self._objective_at(y)
+    def f(y):
+        loss, penalty, _, _ = at(y)
         return loss + penalty
 
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        grads = self._objective_at(y)[2]
-        return grads[self.layer_index][self.wname].reshape(self._matrix().shape)[:, self.column]
+    def grad(y):
+        return at(y)[2][k][layer.weight_name].reshape(wm.shape)[:, j]
+
+    return f, grad
 
 
 def network_checkpoint_objectives(seed=0, checkpoints=20, steps_between=5):
-    """Train a toy BN network; return (column objective, unit column) at each checkpoint."""
+    """Train a toy BN network; return ``(f, grad, unit column)`` at each checkpoint."""
     rng = np.random.default_rng(seed)
     ds = normalize(gen_blobs(seed, n_per_class=40, classes=3, dim=12, spread=0.6))
     net = build_mlp(12, (6, 4), 3, rng)
@@ -212,7 +203,7 @@ def network_checkpoint_objectives(seed=0, checkpoints=20, steps_between=5):
             trainer.train_epoch(ds.train_x, ds.train_y, 32, 0.2, 0.01)
         k, j = columns[c % len(columns)]
         wm = trainer.net.layers[k].weight_matrix()
-        objectives.append((_ColumnObjective(trainer, k, j, *batch), wm[:, j].copy()))
+        objectives.append((*_column_objective(trainer, k, j, *batch), wm[:, j].copy()))
     return objectives
 
 
@@ -243,9 +234,8 @@ def run_gradcheck_suite(seed=0, checkpoints=20) -> list[CheckResult]:
 
     worst = 0.0
     count = 0
-    for objective, point in network_checkpoint_objectives(seed=seed, checkpoints=checkpoints):
-        errors = gradcheck.riemannian_fd_check(objective.f, objective.grad, point,
-                                               trials=5, rng=rng)
+    for f, grad, point in network_checkpoint_objectives(seed=seed, checkpoints=checkpoints):
+        errors = gradcheck.riemannian_fd_check(f, grad, point, trials=5, rng=rng)
         worst = max(worst, float(errors.max()))
         count += errors.size
     results.append(CheckResult("gradcheck", "bn_network_objective", worst < 1e-4, worst, 1e-4, count))

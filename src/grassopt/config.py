@@ -10,6 +10,7 @@ section, converter and default; ``SCHEMA`` is derived from those fields.
 import configparser
 from dataclasses import dataclass, field, fields
 
+from .data import require_scale
 from .errors import ConfigError, PreconditionError
 from .nn.layers import BN_EPS, BN_MOMENTUM
 from .nn.training import ORTHO_ALPHA
@@ -117,8 +118,10 @@ class TrainConfig:
             )
         if self.eta_g is None:
             object.__setattr__(self, "eta_g", default_eta_g(self.optimizer))
-        try:  # the hyperparameter and schedule objects check their own values
+        try:  # the hyperparameter and schedule objects and the data generators check their own values
             self.optimizer_objects()
+            require_scale("spread", self.spread)
+            require_scale("noise", self.noise)
         except PreconditionError as exc:
             raise ConfigError(str(exc)) from None
         if self.seed < 0:
@@ -138,11 +141,15 @@ class TrainConfig:
             raise ConfigError(f"dataset {self.dataset!r} requires data_path")
 
     def optimizer_objects(self):
-        """The run's ``(euclid, sgdg, adamg, schedule_e, schedule_g)``; each checks its own values."""
+        """The run's ``(euclid, grassmann, schedule_e, schedule_g)``; each checks its own values.
+
+        ``grassmann`` is None for ``sgd``; both Grassmann hypers are built, so each key is checked.
+        """
+        grassmann = {"sgd-g": SgdGHyper(gamma=self.gamma, nu=self.nu),
+                     "adam-g": AdamGHyper(beta1=self.beta1, beta2=self.beta2, nu=self.nu)}
         return (
             EuclideanHyper(weight_decay=self.weight_decay, nesterov=self.nesterov),
-            SgdGHyper(gamma=self.gamma, nu=self.nu),
-            AdamGHyper(beta1=self.beta1, beta2=self.beta2, nu=self.nu),
+            grassmann.get(self.optimizer),
             _named_rate("eta_e", self.eta_e, self.milestones, self.factor),
             _named_rate("eta_g", self.eta_g, self.milestones, self.factor),
         )

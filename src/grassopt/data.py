@@ -7,6 +7,7 @@ by 255 instead. Normalization overwrites the feature arrays in place.
 
 import csv
 import gzip
+import math
 import os
 import struct
 import warnings
@@ -20,6 +21,7 @@ __all__ = [
     "Dataset",
     "gen_blobs",
     "gen_spirals",
+    "require_scale",
     "parse_idx",
     "write_idx",
     "load_idx",
@@ -51,6 +53,12 @@ class Dataset:
         return self.train_x.shape[1:]
 
 
+def require_scale(key: str, value: float) -> None:
+    """Refuse a noise scale that is negative or not finite; the message names its ``key``."""
+    if not 0.0 <= value < math.inf:
+        raise PreconditionError(f"{key} must be nonnegative and finite, got {value}")
+
+
 def _split_blob_centers(classes: int, dim: int) -> np.ndarray:
     """Class centers on a radius-3 circle in the first two coordinates."""
     centers = np.zeros((classes, dim))
@@ -79,6 +87,7 @@ def gen_blobs(
     """
     if n_per_class <= 0 or classes < 2 or dim < 1:
         raise PreconditionError("need n_per_class > 0, classes >= 2, dim >= 1")
+    require_scale("spread", spread)
     rng = np.random.default_rng(seed)
     centers = _split_blob_centers(classes, dim)
 
@@ -96,8 +105,9 @@ def gen_blobs(
 
 def gen_spirals(seed: int, n: int = 200, noise: float = 0.2) -> Dataset:
     """Two interleaved spirals with ``n`` points per class."""
-    if n <= 0 or noise < 0:
-        raise PreconditionError("need n > 0 and noise >= 0")
+    if n <= 0:
+        raise PreconditionError(f"need n > 0, got {n}")
+    require_scale("noise", noise)
     rng = np.random.default_rng(seed)
 
     def draw(count):

@@ -1,18 +1,21 @@
 """Versioned checkpoints: parameters, partition map, optimizer states, BN statistics.
 
 The on-disk format is an ``.npz`` archive holding every float64 array verbatim
-plus one JSON header describing the architecture, the partition, the optimizer
-hyperparameters, and the scalar optimizer state: only what loading reads, so
-no learning rate. Loading rebuilds a :class:`~grassopt.nn.training.Trainer`
-whose arrays compare bit-exact with the saved ones; it refuses an array that
-is not finite float64, and a save refuses one that is not finite.
+plus one JSON header describing the architecture, the partition and the
+optimizer hyperparameters: only what loading reads, so no learning rate.
+Loading rebuilds a :class:`~grassopt.nn.training.Trainer` whose arrays compare
+bit-exact with the saved ones; it refuses an array that is not finite float64,
+and a save refuses one that is not finite.
 
-Format version 2 stores Grassmann state per point (column): the momentum of
-point ``i`` is the array ``point{i}.tau`` and its Adam-G scalars are entry
-``i`` of the header's ``point_scalars``. Points are numbered over the
-Grassmann layers in order and the columns in order within each, so a layer
-owns one contiguous block of indices. The trainer holds that state per
-layer, and only this module knows the per-column layout.
+Format version 3 stores the state of the trainer's one Grassmann optimizer.
+The header holds its hyperparameters as ``grassmann_hyper`` (null for
+``sgd``). Momenta are stored per point (column): the momentum of point ``i``
+is the array ``point{i}.tau``, and points are numbered over the Grassmann
+layers in order and the columns in order within each, so a layer owns one
+contiguous block of indices. Adam-G adds, per Grassmann layer ``k``, its
+second moments as ``layer{k}.v`` (nonnegative), and the header's ``t``, the
+step count that every step advances in every layer alike. The trainer holds
+its state per layer, and only this module knows the per-column layout.
 
 A save writes a temporary file beside the target, syncs it to disk and
 renames it over the target, so an interrupted save or a crash leaves the
@@ -31,11 +34,11 @@ from .. import manifold, optim
 from ..errors import NumericalError, PreconditionError, ValidationError
 from .layers import BatchNormLayer
 from .network import build_network
-from .training import Trainer
+from .training import GRASSMANN, Trainer
 
 __all__ = ["CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint"]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _layer_arrays(net):
@@ -57,18 +60,11 @@ def _points(trainer):
 def save_checkpoint(path, trainer: Trainer) -> None:
     """Write ``trainer`` to ``path`` atomically; NumericalError, ``path`` untouched, if not finite."""
     arrays = dict(_layer_arrays(trainer.net))
-    states = {s.layer_index: s for s in trainer.layer_states}
-    adam = trainer.optimizer == "adam-g"
-    point_scalars = []
-    for i, (k, j, _) in enumerate(_points(trainer)):
-        arrays[f"point{i}.tau"] = states[k].tau[:, j]
-        point_scalars.append({"v": float(states[k].v[j]), "t": states[k].t} if adam else {})
+    columns = [s.tau[:, j] for s in trainer.layer_states for j in range(s.tau.shape[1])]  # in _points order
+    arrays.update((f"point{i}.tau", tau) for i, tau in enumerate(columns))
     for i, velocity in enumerate(trainer.velocities):
         arrays[f"euclid{i}.velocity"] = velocity
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"checkpoint array {name!r} is not finite; the previous checkpoint is kept")
-
+    hyper = trainer.grassmann_hyper
     header = {
         "version": CHECKPOINT_VERSION,
         "net_meta": trainer.net.meta,
@@ -76,14 +72,20 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "alpha": trainer.alpha,
         "bn_weight_decay": trainer.decay_groups["bn"],
         "euclid_hyper": vars(trainer.euclid_hyper),
-        "sgdg_hyper": vars(trainer.sgdg_hyper),
-        "adamg_hyper": vars(trainer.adamg_hyper),
+        "grassmann_hyper": None if hyper is None else vars(hyper),
         "partition": {
             "points": _points(trainer),
             "euclidean": [[ref.layer_index, ref.name, ref.group] for ref in trainer.partition.euclidean],
         },
-        "point_scalars": point_scalars,
     }
+    if trainer.optimizer == "adam-g":
+        for state in trainer.layer_states:
+            arrays[f"layer{state.layer_index}.v"] = state.v
+        header["t"] = trainer.layer_states[0].t if trainer.layer_states else 0
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"checkpoint array {name!r} is not finite; the previous checkpoint is kept")
+
     directory, name = os.path.split(os.path.abspath(os.fspath(path)))
     # open() rather than mkstemp, so the file gets the usual umask permissions, not 0600.
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -136,18 +138,21 @@ def load_checkpoint(path) -> Trainer:
     header, arrays = _read(path)
     try:
         net = build_network(header["net_meta"], np.random.default_rng(0))
+        hyper_type, _ = GRASSMANN[header["optimizer"]]
+        saved_hyper = header["grassmann_hyper"]
         trainer = Trainer(
             net,
             header["optimizer"],
             euclid=optim.EuclideanHyper(**header["euclid_hyper"]),
-            sgdg=optim.SgdGHyper(**header["sgdg_hyper"]),
-            adamg=optim.AdamGHyper(**header["adamg_hyper"]),
+            # Trainer refuses a hyper saved for sgd; a missing one for sgd-g/adam-g fails here.
+            grassmann=saved_hyper if hyper_type is None else hyper_type(**saved_hyper),
             alpha=header["alpha"],
             bn_weight_decay=header["bn_weight_decay"],
         )
         saved_points = [tuple(entry) for entry in header["partition"]["points"]]
         saved_euclid = [tuple(entry) for entry in header["partition"]["euclidean"]]
-        point_scalars = header["point_scalars"]
+        adam = trainer.optimizer == "adam-g"
+        t = header["t"] if adam else 0
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a hyper or layer check failed too
         raise ValidationError(f"checkpoint header is invalid: {exc!r}") from None
 
@@ -155,35 +160,29 @@ def load_checkpoint(path) -> Trainer:
     actual_euclid = [(r.layer_index, r.name, r.group) for r in trainer.partition.euclidean]
     if saved_points != actual_points or saved_euclid != actual_euclid:
         raise ValidationError("checkpoint partition map does not match the rebuilt network")
-    adam = trainer.optimizer == "adam-g"
-    if len(point_scalars) != len(actual_points) or (adam and not all(
-        isinstance(s, dict) and {"v", "t"} <= set(s) for s in point_scalars
-    )):
-        raise ValidationError("checkpoint point_scalars do not match the partition")
+    if type(t) is not int or t < 0:
+        raise ValidationError(f"checkpoint step count t must be a nonnegative int, got {t!r}")
 
     for name, arr in _layer_arrays(net):
         arr[...] = _array(arrays, name, arr.shape)
 
     first = 0  # the layer's columns are points first, first + 1, ..., first + p - 1
     for state in trainer.layer_states:
-        wm = net.layers[state.layer_index].weight_matrix()
+        k = state.layer_index
+        wm = net.layers[k].weight_matrix()
         n, p = wm.shape
-        tau = np.empty_like(wm)
-        for j in range(p):
-            tau[:, j] = _array(arrays, f"point{first + j}.tau", (n,))
+        tau = np.column_stack([_array(arrays, f"point{first + j}.tau", (n,)) for j in range(p)])
         try:
-            manifold.require_unit(wm, f"layer {state.layer_index} columns")
-            manifold.require_tangent(wm, tau, f"layer {state.layer_index} momentum")
+            manifold.require_unit(wm, f"layer {k} columns")
+            manifold.require_tangent(wm, tau, f"layer {k} momentum")
         except (PreconditionError, NumericalError) as exc:
             raise ValidationError(f"checkpoint: {exc}") from None
         state.base, state.tau = wm.copy(), tau
         if adam:
-            scalars = point_scalars[first : first + p]
-            steps = {s["t"] for s in scalars}
-            if len(steps) != 1:
-                raise ValidationError(f"layer {state.layer_index} points have different step counts {steps}")
-            state.v = np.array([float(s["v"]) for s in scalars])
-            state.t = int(steps.pop())
+            v = _array(arrays, f"layer{k}.v", (p,))
+            if (v < 0.0).any():
+                raise ValidationError(f"checkpoint array 'layer{k}.v' holds a negative second moment")
+            state.v, state.t = v, t
         first += p
 
     for i, velocity in enumerate(trainer.velocities):

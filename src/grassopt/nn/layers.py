@@ -18,6 +18,8 @@ statistics out of ``forward``; the training loop applies them explicitly via
 depends on this).
 """
 
+import math
+
 import numpy as np
 
 from ..errors import DimensionError, PreconditionError
@@ -210,9 +212,9 @@ class BatchNormLayer:
 
     def __init__(self, units, momentum_stats=BN_MOMENTUM, eps_bn=BN_EPS, scale_trainable=True):
         if not 0.0 < momentum_stats < 1.0:
-            raise PreconditionError(f"momentum_stats must be in (0, 1), got {momentum_stats}")
-        if eps_bn <= 0.0:
-            raise PreconditionError(f"eps_bn must be positive, got {eps_bn}")
+            raise PreconditionError(f"bn_momentum must be in (0, 1), got {momentum_stats}")
+        if not 0.0 < eps_bn < math.inf:
+            raise PreconditionError(f"bn_eps must be positive and finite, got {eps_bn}")
         self.units = int(units)
         self.offset = np.zeros(self.units)
         self.scale = np.ones(self.units)

@@ -158,11 +158,13 @@ def _unit_columns(matrix, rng):
         matrix[:, j] = col / np.linalg.norm(col)
 
 
-def _init_grassmann_columns(net: Network, rng) -> None:
-    """Re-initialize every Grassmann-partitioned column as a random unit vector."""
-    part = partition_parameters(net)
-    for k in part.grassmann_layers:
+def _finish(layers, meta, rng, freeze_bn_scale, bn_eps, bn_momentum) -> Network:
+    """The network of ``layers``, its Grassmann columns re-initialized as random unit vectors."""
+    meta.update(freeze_bn_scale=bool(freeze_bn_scale), bn_eps=float(bn_eps), bn_momentum=float(bn_momentum))
+    net = Network(layers, meta)
+    for k in partition_parameters(net).grassmann_layers:
         _unit_columns(net.layers[k].weight_matrix(), rng)
+    return net
 
 
 def build_mlp(
@@ -183,25 +185,12 @@ def build_mlp(
     d = int(in_dim)
     for h in hidden:
         layers.append(DenseLayer(_fan_in_init(d, h, rng)))
-        layers.append(
-            BatchNormLayer(h, momentum_stats=bn_momentum, eps_bn=bn_eps,
-                           scale_trainable=not freeze_bn_scale)
-        )
+        layers.append(BatchNormLayer(h, bn_momentum, bn_eps, scale_trainable=not freeze_bn_scale))
         layers.append(ReluLayer())
         d = h
     layers.append(DenseLayer(_fan_in_init(d, classes, rng), bias=np.zeros(classes)))
-    meta = {
-        "kind": "mlp",
-        "in_dim": int(in_dim),
-        "hidden": [int(h) for h in hidden],
-        "classes": int(classes),
-        "freeze_bn_scale": bool(freeze_bn_scale),
-        "bn_eps": float(bn_eps),
-        "bn_momentum": float(bn_momentum),
-    }
-    net = Network(layers, meta)
-    _init_grassmann_columns(net, rng)
-    return net
+    meta = {"kind": "mlp", "in_dim": int(in_dim), "hidden": [int(h) for h in hidden], "classes": int(classes)}
+    return _finish(layers, meta, rng, freeze_bn_scale, bn_eps, bn_momentum)
 
 
 def build_convnet(
@@ -222,12 +211,10 @@ def build_convnet(
     c1, c2 = (int(v) for v in channels)
     layers = [
         ConvLayer(rng.standard_normal((3, 3, c, c1)) / np.sqrt(9 * c), stride=1, padding=1),
-        BatchNormLayer(c1, momentum_stats=bn_momentum, eps_bn=bn_eps,
-                       scale_trainable=not freeze_bn_scale),
+        BatchNormLayer(c1, bn_momentum, bn_eps, scale_trainable=not freeze_bn_scale),
         ReluLayer(),
         ConvLayer(rng.standard_normal((3, 3, c1, c2)) / np.sqrt(9 * c1), stride=2, padding=1),
-        BatchNormLayer(c2, momentum_stats=bn_momentum, eps_bn=bn_eps,
-                       scale_trainable=not freeze_bn_scale),
+        BatchNormLayer(c2, bn_momentum, bn_eps, scale_trainable=not freeze_bn_scale),
         ReluLayer(),
         FlattenLayer(),
     ]
@@ -235,18 +222,8 @@ def build_convnet(
     w2 = (w + 2 - 3) // 2 + 1
     flat = c2 * h2 * w2
     layers.append(DenseLayer(_fan_in_init(flat, classes, rng), bias=np.zeros(classes)))
-    meta = {
-        "kind": "conv",
-        "input_shape": [c, h, w],
-        "channels": [c1, c2],
-        "classes": int(classes),
-        "freeze_bn_scale": bool(freeze_bn_scale),
-        "bn_eps": float(bn_eps),
-        "bn_momentum": float(bn_momentum),
-    }
-    net = Network(layers, meta)
-    _init_grassmann_columns(net, rng)
-    return net
+    meta = {"kind": "conv", "input_shape": [c, h, w], "channels": [c1, c2], "classes": int(classes)}
+    return _finish(layers, meta, rng, freeze_bn_scale, bn_eps, bn_momentum)
 
 
 def build_network(meta, rng):

@@ -2,24 +2,26 @@
 
 One train step runs forward/backward once, adds the orthogonality penalty's
 gradient to the ambient gradients of partitioned matrices, steps every
-Grassmann layer with SGD-G or Adam-G, and steps the remaining parameters with
-the Euclidean baseline. A Grassmann layer's p unit columns are one point on
-G(1, n)^p: each such weight matrix moves in one vectorised update, with its
-optimizer state held per layer. The baseline optimizer ("sgd") skips the
-partition and treats every parameter as Euclidean.
+Grassmann layer with the trainer's one Grassmann optimizer, SGD-G or Adam-G,
+and steps the remaining parameters with the Euclidean baseline. A Grassmann
+layer's p unit columns are one point on G(1, n)^p: each such weight matrix
+moves in one vectorised update, with its optimizer state held per layer in
+the optimizer's own state type, which carries its update. The baseline
+optimizer ("sgd") skips the partition and treats every parameter as Euclidean.
 
 A step applies completely or not at all: every Grassmann update is computed
 and checked, and every Euclidean parameter's inputs are checked, before any
 parameter, optimizer state or BN statistic is written. The commit then copies
-each new Grassmann point into the network's weights, hands the fresh result
-arrays to the layer's optimizer state, and applies the Euclidean steps, which
-write their parameters and velocities in place on the inputs already checked.
+each new Grassmann point into the network's weights, takes the new layer
+states, which hold the fresh result arrays, and applies the Euclidean steps,
+which write their parameters and velocities in place on the inputs already checked.
 
 The step owns the gradients that the backward returns, and the updates work in
 them: a Grassmann update turns its layer's gradient into the new momentum, and
 a Euclidean step adds its decay term into its gradient.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,31 +33,51 @@ from ..optim import OPTIMIZERS
 from ..regularizer import ortho_grad, ortho_loss
 from .network import EuclideanRef, Network, Partition, partition_parameters
 
-__all__ = ["StepStats", "EpochStats", "LayerState", "Trainer", "ORTHO_ALPHA"]
+__all__ = ["StepStats", "EpochStats", "LayerState", "AdamGState", "GRASSMANN", "Trainer", "ORTHO_ALPHA"]
 
 ORTHO_ALPHA = 0.1  # default strength of the orthogonality penalty
 
 
 @dataclass
 class LayerState:
-    """Grassmann optimizer state of one BN-fed weight matrix (n-by-p, p points).
-
-    ``base`` is the matrix the momenta were left tangent at; a step refuses
-    to run unless the layer's weights still equal it. ``v`` and ``t`` are
-    Adam-G's per-column second moments and shared step count; SGD-G leaves
-    them at zero.
-    """
+    """SGD-G state of one BN-fed weight matrix (n-by-p, p points): momenta ``tau``
+    tangent at ``base``; a step refuses to run unless the layer's weights still equal it."""
 
     layer_index: int
     base: np.ndarray
     tau: np.ndarray
-    v: np.ndarray
-    t: int = 0
 
     @staticmethod
     def init(layer_index: int, wm: np.ndarray) -> "LayerState":
         require_unit(wm, f"columns of layer {layer_index}")
-        return LayerState(layer_index, wm.copy(), np.zeros_like(wm), np.zeros(wm.shape[1]))
+        return LayerState(layer_index, wm.copy(), np.zeros_like(wm))
+
+    def step(self, wm, g, lr, hyper):
+        """The state after one update of ``wm``; its gradient ``g`` becomes the new momentum."""
+        y, tau, _ = optim._sgdg_step(wm, g, self.tau, lr, hyper, self.base)
+        return LayerState(self.layer_index, y, tau)
+
+
+@dataclass
+class AdamGState(LayerState):
+    """Adam-G state: per-column second moments ``v`` and the step count ``t`` besides."""
+
+    v: np.ndarray
+    t: int
+
+    @staticmethod
+    def init(layer_index: int, wm: np.ndarray) -> "AdamGState":
+        s = LayerState.init(layer_index, wm)
+        return AdamGState(layer_index, s.base, s.tau, np.zeros(wm.shape[1]), 0)
+
+    def step(self, wm, g, lr, hyper):
+        y, tau, v, _ = optim._adamg_step(wm, g, self.tau, self.v, self.t, lr, hyper, self.base)
+        return AdamGState(self.layer_index, y, tau, v, self.t + 1)
+
+
+# optimizer -> (Grassmann hyperparameter type, layer-state type); the sgd baseline has neither
+GRASSMANN = {"sgd": (None, None), "sgd-g": (optim.SgdGHyper, LayerState),
+             "adam-g": (optim.AdamGHyper, AdamGState)}
 
 
 @dataclass
@@ -84,12 +106,12 @@ class EpochStats:
 class Trainer:
     """Owns the optimizer states for one network and applies train steps.
 
-    ``euclid``, ``sgdg`` and ``adamg`` are the hyperparameters of the
-    Euclidean baseline and of the two Grassmann optimizers; only the one
-    that ``optimizer`` names moves the Grassmann layers. ``alpha`` is the
-    orthogonality penalty's strength, at least 0. ``bn_weight_decay=None`` resolves to
-    the per-optimizer default: the Euclidean baseline decays BN
-    offsets/scales, the Grassmann optimizers do not.
+    ``euclid`` holds the Euclidean baseline's hyperparameters, and ``grassmann``
+    those of the Grassmann optimizer that ``optimizer`` names: an ``SgdGHyper``
+    for ``sgd-g``, an ``AdamGHyper`` for ``adam-g`` (omitted: the default one),
+    none for ``sgd``. ``alpha`` is the orthogonality penalty's strength, finite
+    and at least 0. ``bn_weight_decay=None`` resolves to the per-optimizer default: the
+    Euclidean baseline decays BN offsets/scales, the Grassmann optimizers do not.
     """
 
     def __init__(
@@ -99,21 +121,25 @@ class Trainer:
         *,
         rng: np.random.Generator | None = None,
         euclid: optim.EuclideanHyper = optim.EuclideanHyper(),
-        sgdg: optim.SgdGHyper = optim.SgdGHyper(),
-        adamg: optim.AdamGHyper = optim.AdamGHyper(),
+        grassmann: optim.SgdGHyper | optim.AdamGHyper | None = None,
         alpha: float = ORTHO_ALPHA,
         bn_weight_decay: bool | None = None,
     ):
         if optimizer not in OPTIMIZERS:
             raise PreconditionError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
-        if alpha < 0:
-            raise PreconditionError(f"alpha must be nonnegative, got {alpha}")
+        hyper_type, state_type = GRASSMANN[optimizer]
+        if grassmann is None and hyper_type is not None:
+            grassmann = hyper_type()  # the optimizer's defaults
+        if not isinstance(grassmann, hyper_type or type(None)):
+            wanted = f"a {hyper_type.__name__}" if hyper_type else "no Grassmann hyper"
+            raise PreconditionError(f"optimizer {optimizer!r} takes {wanted}, got {grassmann!r}")
+        if not 0.0 <= alpha < math.inf:
+            raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
         self.net = net
         self.optimizer = optimizer
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.euclid_hyper = euclid
-        self.sgdg_hyper = sgdg
-        self.adamg_hyper = adamg
+        self.grassmann_hyper = grassmann
         self.alpha = float(alpha)
         if bn_weight_decay is None:
             bn_weight_decay = optimizer == "sgd"
@@ -121,7 +147,7 @@ class Trainer:
 
         full = partition_parameters(net)
         self.ortho_layers = full.grassmann_layers  # the sgd baseline reports their penalty too
-        if optimizer == "sgd":
+        if state_type is None:
             # Baseline: every parameter is Euclidean, including BN-feeding matrices.
             extra = tuple(
                 EuclideanRef(k, net.layers[k].weight_name, "weight") for k in full.grassmann_layers
@@ -131,7 +157,7 @@ class Trainer:
             self.partition = full
 
         self.layer_states = [
-            LayerState.init(k, net.layers[k].weight_matrix()) for k in self.partition.grassmann_layers
+            state_type.init(k, net.layers[k].weight_matrix()) for k in self.partition.grassmann_layers
         ]
         self.velocities = [np.zeros_like(self._param(ref)) for ref in self.partition.euclidean]
 
@@ -152,6 +178,17 @@ class Trainer:
             total += ortho_loss(wm / np.linalg.norm(wm, axis=0), strength)
         return total
 
+    def _loss_and_grads(self, bx, by):
+        """Forward/backward once, with the penalty's gradient added into each Grassmann layer's."""
+        loss, grads, caches = self.net.loss_and_grads(bx, by, training=True)
+        if self.alpha > 0:
+            for k in self.partition.grassmann_layers:  # none for the sgd baseline
+                # Unit columns are the update's precondition, checked there once per step.
+                layer = self.net.layers[k]
+                g = grads[k][layer.weight_name]  # a fresh array of the backward's: add in place
+                g += ortho_grad(layer.weight_matrix(), self.alpha).reshape(g.shape)
+        return loss, grads, caches
+
     def objective(self, bx, by):
         """The objective a step descends on one batch: ``(loss, penalty, grads, caches)``.
 
@@ -159,43 +196,27 @@ class Trainer:
         of the Grassmann layers; ``grads`` holds the ambient gradients of their
         sum, and ``caches`` the forward caches a step commits BN statistics from.
         """
-        net = self.net
-        loss, grads, caches = net.loss_and_grads(bx, by, training=True)
-        penalty = 0.0
-        if self.alpha > 0:
-            for k in self.partition.grassmann_layers:  # none for the sgd baseline
-                # Unit columns are the update's precondition, checked there once per step.
-                wm = net.layers[k].weight_matrix()
-                gram = wm.T @ wm
-                penalty += ortho_loss(wm, self.alpha, gram)
-                gname = net.layers[k].weight_name
-                # The backward's gradient is a fresh array: add the penalty's in place.
-                grads[k][gname] += ortho_grad(wm, self.alpha, gram).reshape(grads[k][gname].shape)
-        return loss, penalty, grads, caches
+        loss, grads, caches = self._loss_and_grads(bx, by)
+        layers = self.partition.grassmann_layers
+        penalty = sum(ortho_loss(self.net.layers[k].weight_matrix(), self.alpha) for k in layers)
+        return loss, float(penalty), grads, caches
 
     def train_step(self, bx, by, lr_g: float, lr_e: float) -> StepStats:
         net = self.net
-        loss, _, grads, caches = self.objective(bx, by)
+        loss, grads, caches = self._loss_and_grads(bx, by)
 
         # Compute (and check) every update first; write only once all succeeded.
         grassmann = []
         angles = []
         for state in self.layer_states:
-            k = state.layer_index
-            wm = net.layers[k].weight_matrix()
+            layer = net.layers[state.layer_index]
+            wm = layer.weight_matrix()
             # The backward's gradient is a fresh array that nothing else reads: the
             # update consumes it, and it comes back as the new momentum.
-            g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
-            if self.optimizer == "sgd-g":
-                y_new, tau_new, _ = optim._sgdg_step(wm, g, state.tau, lr_g, self.sgdg_hyper, state.base)
-                v_new, t_new = state.v, state.t
-            else:
-                y_new, tau_new, v_new, _ = optim._adamg_step(
-                    wm, g, state.tau, state.v, state.t, lr_g, self.adamg_hyper, state.base
-                )
-                t_new = state.t + 1
-            angles.append(angle_columns(wm, y_new))
-            grassmann.append((state, wm, y_new, tau_new, v_new, t_new))
+            new = state.step(wm, grads[state.layer_index][layer.weight_name].reshape(wm.shape),
+                             lr_g, self.grassmann_hyper)
+            angles.append(angle_columns(wm, new.base))
+            grassmann.append((wm, new))
 
         # The Euclidean step writes in place, so only its inputs are checked here, once.
         euclid = []
@@ -204,11 +225,11 @@ class Trainer:
             g = optim._check_euclidean_inputs(w, grads[ref.layer_index][ref.name], velocity)
             euclid.append((ref, w, g, velocity))
 
-        # The results are fresh arrays, so the state takes them as they are; only the
-        # network's weights, which its layers hold, are written in place.
-        for state, wm, y_new, tau_new, v_new, t_new in grassmann:
-            wm[...] = y_new
-            state.base, state.tau, state.v, state.t = y_new, tau_new, v_new, t_new
+        # The new states hold the fresh result arrays as they are; only the network's
+        # weights, which its layers hold, are written in place.
+        for wm, new in grassmann:
+            wm[...] = new.base
+        self.layer_states = [new for _, new in grassmann]
         for ref, w, g, velocity in euclid:
             optim._apply_euclidean_step(w, g, velocity, lr_e, self.euclid_hyper, self.decay_groups[ref.group])
         net.apply_running_updates(caches)

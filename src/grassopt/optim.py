@@ -11,6 +11,7 @@ hyperparameter objects hold and check only the algorithms' constants.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class SgdGHyper:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise PreconditionError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.nu <= 0.0:
-            raise PreconditionError(f"nu must be positive, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise PreconditionError(f"nu must be positive and finite, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ class AdamGHyper:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= b < 1.0:
                 raise PreconditionError(f"{name} must be in [0, 1), got {b}")
-        if self.nu <= 0.0:
-            raise PreconditionError(f"nu must be positive, got {self.nu}")
-        if self.epsilon <= 0.0:
-            raise PreconditionError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.nu < math.inf:
+            raise PreconditionError(f"nu must be positive and finite, got {self.nu}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise PreconditionError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 OPTIMIZERS = ("sgd", "sgd-g", "adam-g")
@@ -86,8 +87,8 @@ class EuclideanHyper:
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise PreconditionError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise PreconditionError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise PreconditionError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,9 @@ class LrSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "milestones", tuple(self.milestones))
-        if self.initial <= 0.0:
-            raise PreconditionError(f"initial rate must be positive, got {self.initial}")
+        if not 0.0 < self.initial < math.inf:
+            rule = "finite" if self.initial == math.inf else "positive"
+            raise PreconditionError(f"initial rate must be {rule}, got {self.initial}")
         if not 0.0 < self.factor <= 1.0:
             raise PreconditionError(f"factor must be in (0, 1], got {self.factor}")
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):

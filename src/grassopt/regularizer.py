@@ -26,27 +26,20 @@ __all__ = [
 ]
 
 
-def ortho_loss(y: np.ndarray, alpha: float, gram: np.ndarray | None = None) -> float:
-    """Penalty ``(alpha/2) ||Y^T Y - I||_F^2``; zero iff the columns are orthonormal.
-
-    ``gram`` may pass in ``Y^T Y`` when the caller has it already.
-    """
-    if gram is None:
-        gram = y.T @ y
-    off = gram - np.eye(y.shape[1])
+def ortho_loss(y: np.ndarray, alpha: float) -> float:
+    """Penalty ``(alpha/2) ||Y^T Y - I||_F^2``; zero iff the columns are orthonormal."""
+    off = y.T @ y - np.eye(y.shape[1])
     return 0.5 * alpha * float(np.sum(off * off))
 
 
-def ortho_grad(y: np.ndarray, alpha: float, gram: np.ndarray | None = None) -> np.ndarray:
+def ortho_grad(y: np.ndarray, alpha: float) -> np.ndarray:
     """Euclidean gradient of :func:`ortho_loss`: ``2 alpha Y (Y^T Y - I)``.
 
     For unit-norm columns, column j equals ``2 alpha X_j X_j^T y_j`` where
     ``X_j`` drops column j, so each column's gradient points away from the
-    span of the others. ``gram`` is as in :func:`ortho_loss`.
+    span of the others.
     """
-    if gram is None:
-        gram = y.T @ y
-    return 2.0 * alpha * (y @ (gram - np.eye(y.shape[1])))
+    return 2.0 * alpha * (y @ (y.T @ y - np.eye(y.shape[1])))
 
 
 def _require_layer(y, alpha: float, sigma: float) -> np.ndarray:

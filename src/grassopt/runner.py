@@ -38,20 +38,12 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
 
 
 def build_model(cfg: TrainConfig, ds: Dataset, rng: np.random.Generator):
+    bn = {"freeze_bn_scale": cfg.freeze_bn_scale, "bn_eps": cfg.bn_eps, "bn_momentum": cfg.bn_momentum}
     if cfg.arch == "mlp":
-        in_dim = int(np.prod(ds.feature_shape))
-        return build_mlp(
-            in_dim, cfg.hidden, ds.num_classes, rng,
-            freeze_bn_scale=cfg.freeze_bn_scale, bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum,
-        )
+        return build_mlp(int(np.prod(ds.feature_shape)), cfg.hidden, ds.num_classes, rng, **bn)
     if len(ds.feature_shape) != 3:
-        raise ConfigError(
-            f"arch 'conv' needs image-shaped features (C, H, W), got {ds.feature_shape}"
-        )
-    return build_convnet(
-        ds.feature_shape, ds.num_classes, rng, channels=cfg.channels,
-        freeze_bn_scale=cfg.freeze_bn_scale, bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum,
-    )
+        raise ConfigError(f"arch 'conv' needs image-shaped features (C, H, W), got {ds.feature_shape}")
+    return build_convnet(ds.feature_shape, ds.num_classes, rng, channels=cfg.channels, **bn)
 
 
 def _features_for(cfg: TrainConfig, x: np.ndarray) -> np.ndarray:
@@ -74,14 +66,14 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
     produce byte-identical ``metrics.csv`` files (enable ``timing`` to record
     real wall time instead of 0.0, which breaks that).
     """
-    euclid, sgdg, adamg, schedule_e, schedule_g = cfg.optimizer_objects()
+    euclid, grassmann, schedule_e, schedule_g = cfg.optimizer_objects()
     ds = build_dataset(cfg)
     rng = np.random.default_rng(cfg.seed)
     net = build_model(cfg, ds, rng)
     train_x = _features_for(cfg, ds.train_x)
     test_x = _features_for(cfg, ds.test_x)
     trainer = Trainer(
-        net, cfg.optimizer, rng=rng, euclid=euclid, sgdg=sgdg, adamg=adamg,
+        net, cfg.optimizer, rng=rng, euclid=euclid, grassmann=grassmann,
         alpha=cfg.alpha, bn_weight_decay=cfg.bn_weight_decay,
     )
 

@@ -4,8 +4,8 @@ Every BN-fed column is stepped on its own, with the scalar formulas of
 SGD-G and Adam-G written out again in plain numpy, so the oracle shares no
 Grassmann code with the program. Orthogonality gradient, Euclidean updates
 and BN statistics go through the same program calls as
-``Trainer.train_step``. Per-point state is ``{"tau", "v", "t"}``, keyed by
-``(layer, column)``.
+``Trainer.train_step``. Per-point state is ``{"tau"}`` under SGD-G and
+``{"tau", "v", "t"}`` under Adam-G, keyed by ``(layer, column)``.
 """
 
 import math
@@ -50,7 +50,7 @@ def _clipped_projection(y, g, nu):
 def sgdg_column(y, g, state, lr, hyper):
     h_hat = _clipped_projection(y, g, hyper.nu)
     d = hyper.gamma * state["tau"] - lr * h_hat
-    return _exp(y, d), {"tau": _translate_self(y, d), "v": 0.0, "t": 0}
+    return _exp(y, d), {"tau": _translate_self(y, d)}
 
 
 def adamg_column(y, g, state, lr, hyper):
@@ -68,10 +68,13 @@ class ColumnOracle:
 
     def __init__(self, trainer):
         self.trainer = trainer
+        adam = trainer.optimizer == "adam-g"
+        self.column_step = adamg_column if adam else sgdg_column
         self.points = {}
         for k in trainer.partition.grassmann_layers:
             n, p = trainer.net.layers[k].weight_matrix().shape
-            self.points.update({(k, j): {"tau": np.zeros(n), "v": 0.0, "t": 0} for j in range(p)})
+            fresh = {"v": 0.0, "t": 0} if adam else {}
+            self.points.update({(k, j): {"tau": np.zeros(n), **fresh} for j in range(p)})
 
     def train_step(self, bx, by, lr_g, lr_e):
         tr = self.trainer
@@ -87,10 +90,7 @@ class ColumnOracle:
             wm = net.layers[k].weight_matrix()
             g = grads[k][net.layers[k].weight_name].reshape(wm.shape)
             y = wm[:, j].copy()
-            if tr.optimizer == "sgd-g":
-                y_new, self.points[k, j] = sgdg_column(y, g[:, j], point, lr_g, tr.sgdg_hyper)
-            else:
-                y_new, self.points[k, j] = adamg_column(y, g[:, j], point, lr_g, tr.adamg_hyper)
+            y_new, self.points[k, j] = self.column_step(y, g[:, j], point, lr_g, tr.grassmann_hyper)
             wm[:, j] = y_new
         for ref, velocity in zip(tr.partition.euclidean, tr.velocities):
             optim.euclidean_sgd_step(

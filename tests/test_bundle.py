@@ -16,7 +16,6 @@ from grassopt import manifold, optim
 from grassopt.errors import NumericalError, PreconditionError, ValidationError
 from grassopt.nn import BatchNormLayer, Trainer, build_convnet, build_mlp, load_checkpoint, save_checkpoint
 from grassopt.nn import training
-from grassopt.regularizer import ortho_grad, ortho_loss
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -67,9 +66,12 @@ def test_bundle_step_matches_per_column_oracle(build, optimizer):
     for (k, j), point in oracle.points.items():
         state = states[k]
         assert np.max(np.abs(state.tau[:, j] - point["tau"])) <= 1e-14
-        assert abs(state.v[j] - point["v"]) <= 1e-14
-        assert state.t == point["t"]
-    assert all(s.t == (25 if optimizer == "adam-g" else 0) for s in bundled.layer_states)
+        if optimizer == "adam-g":
+            assert abs(state.v[j] - point["v"]) <= 1e-14
+            assert state.t == point["t"] == 25
+    # Each optimizer's layer state holds only what its update reads.
+    fields = {"sgd-g": ["layer_index", "base", "tau"], "adam-g": ["layer_index", "base", "tau", "v", "t"]}
+    assert all(list(vars(s)) == fields[optimizer] for s in bundled.layer_states)
 
 
 def test_update_kernels_act_column_by_column():
@@ -124,35 +126,31 @@ def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
     assert [s.tau.shape for s in trainer.layer_states] == shapes
 
 
-def test_train_step_computes_each_gram_once(monkeypatch):
+def test_train_step_adds_one_ortho_grad_per_layer_and_no_ortho_loss(monkeypatch):
+    # A step needs the penalty's gradient only; its value is Trainer.objective's alone.
     rng = np.random.default_rng(31)
-    trainer = Trainer(build_mlp(20, (12, 6), 3, rng), "sgd-g")
     seen = []
     real_loss, real_grad = training.ortho_loss, training.ortho_grad
 
-    def loss(y, alpha, gram=None):
-        seen.append(("loss", gram))
-        return real_loss(y, alpha, gram)
+    def loss(y, alpha):
+        seen.append(("loss", y.shape))
+        return real_loss(y, alpha)
 
-    def grad(y, alpha, gram=None):
-        seen.append(("grad", gram))
-        return real_grad(y, alpha, gram)
+    def grad(y, alpha):
+        seen.append(("grad", y.shape))
+        return real_grad(y, alpha)
 
     monkeypatch.setattr(training, "ortho_loss", loss)
     monkeypatch.setattr(training, "ortho_grad", grad)
-    trainer.train_step(rng.standard_normal((16, 20)), rng.integers(0, 3, 16), 0.2, 0.01)
-    assert [kind for kind, _ in seen] == ["loss", "grad", "loss", "grad"]
-    assert seen[0][1] is seen[1][1] and seen[2][1] is seen[3][1]
-    assert all(gram is not None for _, gram in seen)
-
-
-def test_shared_gram_gives_bit_identical_penalty():
-    rng = np.random.default_rng(32)
-    y = rng.standard_normal((40, 12))
-    y = y / np.linalg.norm(y, axis=0)
-    gram = y.T @ y
-    assert ortho_loss(y, 0.1, gram) == ortho_loss(y, 0.1)
-    assert ortho_grad(y, 0.1, gram).tobytes() == ortho_grad(y, 0.1).tobytes()
+    bx, by = rng.standard_normal((16, 20)), rng.integers(0, 3, 16)
+    for optimizer in ("sgd-g", "adam-g"):
+        trainer = Trainer(build_mlp(20, (12, 6), 3, rng), optimizer)
+        seen.clear()
+        trainer.train_step(bx, by, optim.default_eta_g(optimizer), 0.01)
+        assert seen == [("grad", (20, 12)), ("grad", (12, 6))]
+        seen.clear()
+        trainer.objective(bx, by)
+        assert seen == [("grad", (20, 12)), ("grad", (12, 6)), ("loss", (20, 12)), ("loss", (12, 6))]
 
 
 # ------------------------------------------------------- all-or-nothing step
@@ -161,7 +159,7 @@ def test_shared_gram_gives_bit_identical_penalty():
 def _snapshot(trainer):
     arrays = _net_arrays(trainer.net)
     for s in trainer.layer_states:
-        arrays += [s.base, s.tau, s.v, np.array(s.t)]
+        arrays += [np.asarray(value) for value in vars(s).values()]
     arrays += trainer.velocities
     return [a.tobytes() for a in arrays]
 
@@ -252,9 +250,9 @@ def test_step_refuses_state_of_other_columns():
 # ------------------------------------------------------------- checkpoints
 
 
-def _trained():
+def _trained(optimizer="sgd-g"):
     rng = np.random.default_rng(34)
-    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), "sgd-g")
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
     x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
     for _ in range(3):
         trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
@@ -283,7 +281,8 @@ def test_step_state_owns_its_buffers(build, optimizer, tmp_path, monkeypatch):
 
     def owned(tr):
         arrays = [tr.net.layers[s.layer_index].weight_matrix() for s in tr.layer_states]
-        return arrays + [a for s in tr.layer_states for a in (s.tau, s.base)] + tr.velocities
+        state = [a for s in tr.layer_states for a in vars(s).values() if isinstance(a, np.ndarray)]
+        return arrays + state + tr.velocities
 
     before, seen = owned(trainer), []
     real = trainer.net.loss_and_grads
@@ -429,10 +428,8 @@ def _with_header(src, dst, edit):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("sgdg_hyper", "nu", -1.0),
     ("euclid_hyper", "eta", -5.0),
     ("euclid_hyper", "momentum", -1.0),
-    ("adamg_hyper", "epsilon", 0.0),
     ("euclid_hyper", "weight_decay", -2.0),
     ("net_meta", "bn_eps", 0.0),
     ("net_meta", "kind", "rnn"),
@@ -446,6 +443,35 @@ def test_bad_header_value_raises_validation_error(tmp_path, section, key, value)
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("optimizer, edit", [
+    ("sgd-g", lambda hyper: hyper.__setitem__("nu", -1.0)),
+    ("sgd-g", lambda hyper: hyper.__setitem__("beta1", 0.5)),  # an Adam-G field
+    ("adam-g", lambda hyper: hyper.__setitem__("epsilon", 0.0)),
+    ("adam-g", lambda hyper: hyper.__setitem__("gamma", 0.5)),  # an SGD-G field
+], ids=["sgd-g-nu", "sgd-g-beta1", "adam-g-epsilon", "adam-g-gamma"])
+def test_bad_grassmann_hyper_raises_validation_error(tmp_path, optimizer, edit):
+    trainer, _ = _trained(optimizer)
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: edit(header["grassmann_hyper"]))
+    with pytest.raises(ValidationError, match="header"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("optimizer, hyper", [
+    ("sgd", {"gamma": 0.9, "nu": 0.1}),  # a hyper for the baseline, which takes none
+    ("sgd-g", None),
+    ("adam-g", None),
+])
+def test_grassmann_hyper_that_does_not_fit_the_optimizer_raises_validation_error(tmp_path, optimizer, hyper):
+    trainer, _ = _trained(optimizer)
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header.__setitem__("grassmann_hyper", hyper))
+    with pytest.raises(ValidationError, match="header"):
+        load_checkpoint(bad)
+
+
 def test_negative_alpha_in_header_raises_validation_error(tmp_path):
     trainer, _ = _trained()
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
@@ -455,38 +481,77 @@ def test_negative_alpha_in_header_raises_validation_error(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_alpha_in_header_that_is_not_finite_raises_validation_error(tmp_path, value):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header.__setitem__("alpha", value))  # JSON NaN / Infinity
+    with pytest.raises(ValidationError, match="alpha must be nonnegative and finite"):
+        load_checkpoint(bad)
+
+
+# Hyperparameters that all differ from their defaults, for each optimizer's Grassmann hyper.
+GRASSMANN_HYPERS = {
+    "sgd": None,
+    "sgd-g": optim.SgdGHyper(gamma=0.8, nu=0.2),
+    "adam-g": optim.AdamGHyper(beta1=0.8, beta2=0.95, nu=0.3, epsilon=1e-6),
+}
+
+
 def test_checkpoint_restores_every_hyperparameter(tmp_path):
-    hypers = {
-        "euclid": optim.EuclideanHyper(momentum=0.5, weight_decay=0.001, nesterov=False),
-        "sgdg": optim.SgdGHyper(gamma=0.8, nu=0.2),
-        "adamg": optim.AdamGHyper(beta1=0.8, beta2=0.95, nu=0.3, epsilon=1e-6),
-    }
-    for hyper in hypers.values():
+    euclid = optim.EuclideanHyper(momentum=0.5, weight_decay=0.001, nesterov=False)
+    for hyper in (euclid, GRASSMANN_HYPERS["sgd-g"], GRASSMANN_HYPERS["adam-g"]):
         assert all(getattr(hyper, f.name) != f.default for f in dataclasses.fields(hyper))
-    rng = np.random.default_rng(35)
-    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), "sgd-g", **hypers, alpha=0.05, bn_weight_decay=True)
-    path = tmp_path / "checkpoint.npz"
-    save_checkpoint(path, trainer)
-    restored = load_checkpoint(path)
-    assert restored.euclid_hyper == hypers["euclid"]
-    assert restored.sgdg_hyper == hypers["sgdg"]
-    assert restored.adamg_hyper == hypers["adamg"]
-    assert restored.alpha == 0.05 != training.ORTHO_ALPHA
-    assert restored.decay_groups["bn"] is True
+    for optimizer, grassmann in GRASSMANN_HYPERS.items():
+        rng = np.random.default_rng(35)
+        trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer, euclid=euclid, grassmann=grassmann,
+                          alpha=0.05, bn_weight_decay=optimizer != "sgd")
+        path = tmp_path / f"{optimizer}.npz"
+        save_checkpoint(path, trainer)
+        restored = load_checkpoint(path)
+        assert restored.optimizer == optimizer
+        assert restored.euclid_hyper == euclid
+        assert restored.grassmann_hyper == grassmann
+        assert type(restored.grassmann_hyper) is type(grassmann)
+        assert restored.alpha == 0.05 != training.ORTHO_ALPHA
+        assert restored.decay_groups["bn"] is (optimizer != "sgd")
+
+
+def test_trainer_takes_only_its_optimizers_grassmann_hyper():
+    net = build_mlp(16, (16, 8), 3, np.random.default_rng(36))
+    assert Trainer(net, "sgd").grassmann_hyper is None
+    assert Trainer(net, "sgd-g").grassmann_hyper == optim.SgdGHyper()
+    assert Trainer(net, "adam-g").grassmann_hyper == optim.AdamGHyper()
+    with pytest.raises(PreconditionError, match="takes no Grassmann hyper"):
+        Trainer(net, "sgd", grassmann=optim.SgdGHyper())
+    with pytest.raises(PreconditionError, match="takes a SgdGHyper"):
+        Trainer(net, "sgd-g", grassmann=optim.AdamGHyper())
+    with pytest.raises(PreconditionError, match="takes a AdamGHyper"):
+        Trainer(net, "adam-g", grassmann=optim.SgdGHyper())
+    with pytest.raises(PreconditionError, match="takes a AdamGHyper"):
+        Trainer(net, "adam-g", grassmann={"beta1": 0.9})
 
 
 def test_header_holds_only_what_loading_reads(tmp_path):
-    trainer, _ = _trained()
-    path = tmp_path / "checkpoint.npz"
-    save_checkpoint(path, trainer)
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["__header__"]).decode())
-    assert header["version"] == 2
-    assert sorted(header) == sorted([
-        "version", "net_meta", "optimizer", "alpha", "bn_weight_decay",
-        "euclid_hyper", "sgdg_hyper", "adamg_hyper", "partition", "point_scalars",
-    ])
-    assert sorted(header["partition"]) == ["euclidean", "points"]
+    common = ["version", "net_meta", "optimizer", "alpha", "bn_weight_decay", "euclid_hyper",
+              "grassmann_hyper", "partition"]
+    for optimizer, extra in (("sgd", []), ("sgd-g", []), ("adam-g", ["t"])):
+        trainer, _ = _trained(optimizer)
+        path = tmp_path / f"{optimizer}.npz"
+        save_checkpoint(path, trainer)
+        with np.load(path) as archive:
+            header = json.loads(bytes(archive["__header__"]).decode())
+            moments = sorted(name for name in archive.files if name.endswith(".v"))
+        assert header["version"] == 3
+        assert sorted(header) == sorted(common + extra)
+        assert sorted(header["partition"]) == ["euclidean", "points"]
+        hyper = header["grassmann_hyper"]
+        assert hyper == (None if optimizer == "sgd" else dataclasses.asdict(trainer.grassmann_hyper))
+        # Adam-G alone keeps second moments, one array per Grassmann layer, and the step count.
+        assert moments == (["layer3.v"] if optimizer == "adam-g" else [])
+        if optimizer == "adam-g":
+            assert header["t"] == 3
 
 
 def test_version_1_checkpoint_raises_validation_error(tmp_path):
@@ -496,6 +561,52 @@ def test_version_1_checkpoint_raises_validation_error(tmp_path):
     _with_header(good, old, lambda header: header.__setitem__("version", 1))
     with pytest.raises(ValidationError, match="unsupported checkpoint version 1"):
         load_checkpoint(old)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-g", "adam-g"])
+def test_version_2_checkpoint_raises_validation_error(tmp_path, optimizer):
+    trainer, _ = _trained(optimizer)
+    good, old = tmp_path / "good.npz", tmp_path / "old.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, old, lambda header: header.__setitem__("version", 2))
+    with pytest.raises(ValidationError, match="unsupported checkpoint version 2, expected 3"):
+        load_checkpoint(old)
+
+
+@pytest.mark.parametrize("case, array, message", [
+    ("missing", None, "has no array 'layer3.v'"),
+    ("wrong_shape", np.zeros(9), "'layer3.v' has shape"),
+    ("inf", np.full(8, np.inf), "'layer3.v'"),
+    ("nan", np.full(8, np.nan), "'layer3.v'"),
+    ("negative", np.full(8, -1.0), "'layer3.v' holds a negative"),
+    ("float32", np.zeros(8, dtype=np.float32), "'layer3.v'"),
+])
+def test_bad_adamg_second_moment_raises_validation_error(tmp_path, case, array, message):
+    trainer, _ = _trained("adam-g")
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _rewrite(good, bad, **{"layer3.v": array})
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("value", [-1, True, 3.0, "3", None, [3]])
+def test_bad_adamg_step_count_raises_validation_error(tmp_path, value):
+    trainer, _ = _trained("adam-g")
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header.__setitem__("t", value))
+    with pytest.raises(ValidationError, match="step count t must be a nonnegative int"):
+        load_checkpoint(bad)
+
+
+def test_missing_adamg_step_count_raises_validation_error(tmp_path):
+    trainer, _ = _trained("adam-g")
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    _with_header(good, bad, lambda header: header.pop("t"))
+    with pytest.raises(ValidationError, match="header is invalid"):
+        load_checkpoint(bad)
 
 
 def _stored_forms(arr):
@@ -534,4 +645,16 @@ def test_save_refuses_non_finite_state_and_keeps_previous_checkpoint(tmp_path):
     with pytest.raises(NumericalError, match="layer4.running_var"):
         save_checkpoint(path, trainer)
     assert os.listdir(tmp_path) == ["checkpoint.npz"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_save_refuses_non_finite_adamg_second_moment(tmp_path, value):
+    trainer, _ = _trained("adam-g")
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, trainer)
+    before = path.read_bytes()
+    trainer.layer_states[0].v[2] = value  # layer 3, the one Grassmann layer
+    with pytest.raises(NumericalError, match="layer3.v"):
+        save_checkpoint(path, trainer)
     assert path.read_bytes() == before

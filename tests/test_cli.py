@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grassopt import checks, cli, manifold, runner
+from grassopt.config import SCHEMA
 from grassopt.data import write_idx
 from grassopt.errors import ConfigError
 from grassopt.metrics import METRIC_FIELDS
@@ -105,6 +106,35 @@ def test_train_refuses_bad_values_before_any_output(tmp_path, capsys, flags):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _parses_to_float(convert):
+    try:
+        return isinstance(convert("0.5"), float)
+    except ValueError:
+        return False
+
+
+FLOAT_KEYS = [key for keys in SCHEMA.values() for key, (convert, _) in keys.items() if _parses_to_float(convert)]
+
+
+def test_float_keys_are_every_float_setting():
+    assert sorted(FLOAT_KEYS) == sorted([
+        "bn_eps", "bn_momentum", "eta_e", "eta_g", "gamma", "beta1", "beta2", "nu", "alpha",
+        "weight_decay", "factor", "spread", "noise",
+    ])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_train_refuses_a_float_setting_that_is_not_finite(tmp_path, capsys, key, value):
+    # With the default optimizer and data, whether or not the run reads the key.
+    out = tmp_path / "refused"
+    code = cli.main(["train", "--out_dir", str(out), *FAST, f"--{key}={value}"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {key} ") and value.lstrip("-") in err
     assert not out.exists()
 
 

@@ -166,7 +166,7 @@ def test_adamg_update_takes_the_clipped_step_or_refuses():
 def _snapshot(trainer):
     arrays = [a for layer in trainer.net.layers for a in layer.params().values()]
     for s in trainer.layer_states:
-        arrays += [s.base, s.tau, s.v, np.array(s.t)]
+        arrays += [np.asarray(value) for value in vars(s).values()]
     arrays += trainer.velocities
     return [a.tobytes() for a in arrays]
 

@@ -139,7 +139,7 @@ def test_network_objective_gradcheck_sees_the_trainers_penalty_gradient(monkeypa
 
     real_ortho_grad = training.ortho_grad
     monkeypatch.setattr(training, "ortho_grad",
-                        lambda y, alpha, gram=None: 3.0 * real_ortho_grad(y, alpha, gram))
+                        lambda y, alpha: 3.0 * real_ortho_grad(y, alpha))
     results = checks.run_gradcheck_suite(seed=0, checkpoints=5)
     by_name = {r.name: r for r in results}
     assert not by_name["bn_network_objective"].passed

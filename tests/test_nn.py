@@ -771,15 +771,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(path, trainer)
     restored = load_checkpoint(path)
 
-    # Format 1's layout: point i is column j of Grassmann layer k, over the
-    # layers in order and the columns in order within each layer.
+    # The format's layout: point i is column j of Grassmann layer k, over the
+    # layers in order and the columns in order within each layer; Adam-G's
+    # second moments are one array per layer, and its step count is stored once.
     points = [[0, j, 6] for j in range(4)] + [[3, j, 4] for j in range(3)]
     states = {s.layer_index: s for s in trainer.layer_states}
     with np.load(path) as archive:
-        assert json.loads(bytes(archive["__header__"]).decode())["partition"]["points"] == points
+        header = json.loads(bytes(archive["__header__"]).decode())
+        assert header["partition"]["points"] == points and header["t"] == 5
         assert sum(name.startswith("point") for name in archive.files) == len(points)
         for i, (k, j, _) in enumerate(points):
             assert archive[f"point{i}.tau"].tobytes() == states[k].tau[:, j].tobytes()
+        for k, state in states.items():
+            assert archive[f"layer{k}.v"].tobytes() == state.v.tobytes()
 
     for layer, rlayer in zip(net.layers, restored.net.layers):
         for name, param in layer.params().items():
@@ -787,7 +791,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         if isinstance(layer, BatchNormLayer):
             assert np.array_equal(layer.running_mean, rlayer.running_mean)
             assert np.array_equal(layer.running_var, rlayer.running_var)
-    # Grassmann state is held per layer: one momentum matrix, per-column v, one t.
+    # Adam-G state is held per layer: one momentum matrix, per-column v, one t.
     assert len(trainer.layer_states) == len(restored.layer_states) == 2
     for s, r in zip(trainer.layer_states, restored.layer_states):
         assert s.layer_index == r.layer_index
