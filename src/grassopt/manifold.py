@@ -6,9 +6,19 @@ name the same subspace). Tangent vectors at ``y`` are vectors orthogonal to it.
 The geometry is written once, as array kernels that act column by column on
 an ``(n,)`` vector or an ``(n, p)`` array. An n-by-p array of unit columns is
 one point on the product manifold G(1, n)^p, so a whole BN-fed weight matrix
-moves in one call, and a single point is just an ``(n,)`` array. The kernels
-do not check that points are unit or vectors tangent; callers that rely on
-it say so with :func:`require_unit` and :func:`require_tangent`.
+moves in one call, and a single point is just an ``(n,)`` array.
+
+The kernels check nothing: they take unit points and tangent vectors on
+trust. Whoever takes such input from outside checks it, once, with
+:func:`require_unit` and :func:`require_tangent`: the trainer its initial
+weights, ``load_checkpoint`` the stored points and momenta, and the Grassmann
+updates their arguments (see the table in :mod:`grassopt.optim`). The unit
+point and the tangent transported vector that :func:`geodesic_columns` builds
+from such input hold by construction and are not checked again; the manifold
+property suite of ``grassopt check`` and the tests check the kernels
+themselves. The updates do check :func:`project_columns`' output, which
+rounding can leave off the tangent space for a gradient nearly parallel to
+its column.
 """
 
 import math

@@ -5,7 +5,8 @@ plus one JSON header describing the architecture, the partition and the
 optimizer hyperparameters: only what loading reads, so no learning rate.
 Loading rebuilds a :class:`~grassopt.nn.training.Trainer` whose arrays compare
 bit-exact with the saved ones; it refuses an array that is not finite float64,
-and a save refuses one that is not finite.
+a BN running variance that is not positive, and a header scalar whose JSON type
+is not its field's; a save refuses an array that is not finite.
 
 Format version 3 stores the state of the trainer's one Grassmann optimizer.
 The header holds its hyperparameters as ``grassmann_hyper`` (null for
@@ -24,6 +25,7 @@ previous checkpoint in place. A process killed during a save can leave its
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import zipfile
@@ -71,8 +73,8 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "optimizer": trainer.optimizer,
         "alpha": trainer.alpha,
         "bn_weight_decay": trainer.decay_groups["bn"],
-        "euclid_hyper": vars(trainer.euclid_hyper),
-        "grassmann_hyper": None if hyper is None else vars(hyper),
+        "euclid_hyper": _typed_fields(trainer.euclid_hyper),
+        "grassmann_hyper": None if hyper is None else _typed_fields(hyper),
         "partition": {
             "points": _points(trainer),
             "euclidean": [[ref.layer_index, ref.name, ref.group] for ref in trainer.partition.euclidean],
@@ -107,6 +109,24 @@ def save_checkpoint(path, trainer: Trainer) -> None:
             os.close(fd)
 
 
+def _typed_fields(hyper):
+    """A hyper's fields, each as its declared type, which a load requires: ``SgdGHyper(nu=1)`` saves 1.0."""
+    return {f.name: f.type(getattr(hyper, f.name)) for f in dataclasses.fields(hyper)}
+
+
+def _require_scalar_types(header, hyper_type):
+    """ValidationError unless ``alpha``, ``bn_weight_decay`` and each hyper field hold their declared
+    JSON type: a range check alone would take ``true`` as the float 1.0, or 2 as a bool."""
+    fields = [("alpha", header.get("alpha"), float), ("bn_weight_decay", header.get("bn_weight_decay"), bool)]
+    for key, cls in (("euclid_hyper", optim.EuclideanHyper), ("grassmann_hyper", hyper_type)):
+        values = header[key]
+        if cls is not None and isinstance(values, dict):  # anything else fails when the hyper is built
+            fields += [(f"{key}.{f.name}", values.get(f.name), f.type) for f in dataclasses.fields(cls)]
+    for path, value, kind in fields:
+        if type(value) is not kind:
+            raise ValidationError(f"checkpoint header key {path!r} must be a {kind.__name__}, got {value!r}")
+
+
 def _array(arrays, name, shape):
     """The stored array ``name``, which must be finite float64 of ``shape``; ValidationError otherwise."""
     if name not in arrays:
@@ -139,6 +159,7 @@ def load_checkpoint(path) -> Trainer:
     try:
         net = build_network(header["net_meta"], np.random.default_rng(0))
         hyper_type, _ = GRASSMANN[header["optimizer"]]
+        _require_scalar_types(header, hyper_type)
         saved_hyper = header["grassmann_hyper"]
         trainer = Trainer(
             net,
@@ -153,6 +174,8 @@ def load_checkpoint(path) -> Trainer:
         saved_euclid = [tuple(entry) for entry in header["partition"]["euclidean"]]
         adam = trainer.optimizer == "adam-g"
         t = header["t"] if adam else 0
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: a hyper or layer check failed too
         raise ValidationError(f"checkpoint header is invalid: {exc!r}") from None
 
@@ -165,6 +188,8 @@ def load_checkpoint(path) -> Trainer:
 
     for name, arr in _layer_arrays(net):
         arr[...] = _array(arrays, name, arr.shape)
+        if name.endswith(".running_var") and not (arr > 0.0).all():
+            raise ValidationError(f"checkpoint array {name!r} holds a variance that is not positive")
 
     first = 0  # the layer's columns are points first, first + 1, ..., first + p - 1
     for state in trainer.layer_states:

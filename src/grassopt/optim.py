@@ -8,6 +8,38 @@ shape (n,) or (n, p): a single point is an ``(n,)`` unit vector, and one call
 steps every column of an n-by-p weight matrix. A rate belongs to its
 :class:`LrSchedule`, which checks it, and reaches an update as ``lr``; the
 hyperparameter objects hold and check only the algorithms' constants.
+
+Each invariant of a Grassmann step is established in one place and checked
+once per update, where input from outside the update can break it. What the
+manifold kernels build from checked inputs (a unit new point, a tangent
+transported momentum, a tangent blend of tangent vectors) is not checked
+again at run time: the tests check the kernels, and ``grassopt check`` runs
+their property suite::
+
+    invariant        established by            broken by outside input      its one check
+    ---------------  ------------------------  ---------------------------  ----------------------------
+    unit points y    Trainer construction,     a write to the weights,      require_unit(y)
+                     load_checkpoint; the      a caller's y
+                     geodesic renormalizes
+    tangent          zeros at construction,    a caller's tau               tangency half of
+    momenta tau      load_checkpoint; the                                   require_tangent(y, d): d
+                     transport                                              blends tau with tangent h
+    finite           nothing: it is input      a diverging run, a caller's  np.isfinite(g), then the
+    gradients g                                g, a column norm whose       norms of require_tangent(y, h):
+                                               square overflows             NumericalError
+    state of these   the commit: base = y'     a write to the weights       array_equal(base, y)
+    weights                                    between steps, a state
+                                               of another point
+    finite steps d   finite g, tau, v and lr;  an lr or a tau large enough  norms of require_tangent(y, d):
+                     the clip bounds |h'|      to overflow                  NumericalError
+    finite lr >= 0,  the schedules             a caller's lr, v or t        _check_update_inputs (lr),
+    finite v >= 0,   (LrSchedule); v starts                                 _adamg_step (v, t):
+    t >= 0           at 0, load_checkpoint                                  PreconditionError
+
+The tangency half of ``require_tangent(y, h)`` refuses a projection that
+rounding left off the tangent space, a gradient nearly parallel to its column.
+The check on ``d`` sees ``tau`` only through ``d``: under Adam-G a zero ``lr``
+makes ``d`` zero, and a non-tangent ``tau`` then passes to the next step.
 """
 
 import bisect
@@ -126,8 +158,8 @@ def _check_update_inputs(y, g, tau, lr, base):
         )
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for a point of shape {y.shape}")
-    if lr < 0.0:
-        raise PreconditionError(f"learning rate must be nonnegative, got {lr}")
+    if not 0.0 <= lr < math.inf:
+        raise PreconditionError(f"learning rate must be nonnegative and finite, got {lr}")
     if not np.array_equal(base, y):
         raise PreconditionError("momentum state belongs to a different point")
     manifold.require_unit(y, "point")
@@ -179,8 +211,6 @@ def _sgdg_step(y, g, tau, lr, hyper, base):
         np.subtract(np.multiply(tau[rows], hyper.gamma, out=scratch), d_blk, out=d_blk)
     d_norm = manifold.require_tangent(y, d, "step")
     y_new, tau_new = manifold.geodesic_columns(y, d, norms=d_norm, overwrite=True)
-    manifold.require_unit(y_new, "new point")
-    manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, h_norm
 
 
@@ -188,7 +218,8 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
     """One Adam step on G(1, n) with a single adaptive rate per column.
 
     Shapes and ``base`` are as in :func:`sgdg_update`; ``v`` holds one second
-    moment per column and ``t`` is the number of steps taken so far. The
+    moment per column, finite and nonnegative, and ``t`` is the number of steps
+    taken so far. The
     second moment is the EMA of the clipped gradient's squared norm, so the
     update direction is never distorted coordinate-wise::
 
@@ -209,6 +240,10 @@ def _adamg_step(y, g, tau, v, t, lr, hyper, base):
     """:func:`adamg_update` on a gradient it consumes, as in :func:`_sgdg_step`:
     ``g`` holds ``h``, then ``m``, and is returned as ``tau'``."""
     _check_update_inputs(y, g, tau, lr, base)
+    if not np.all((v >= 0.0) & (v < math.inf)):  # NaN fails both comparisons
+        raise PreconditionError("second moments must be nonnegative and finite")
+    if t < 0:
+        raise PreconditionError(f"step count must be nonnegative, got {t}")
     t = t + 1
     eta_t = lr * np.sqrt(1.0 - hyper.beta2**t) / (1.0 - hyper.beta1**t)
     m, h_norm = _projected_clipped(y, g, hyper.nu)
@@ -217,12 +252,9 @@ def _adamg_step(y, g, tau, v, t, lr, hyper, base):
         m_blk = m[rows]
         m_blk *= 1.0 - hyper.beta1
         np.add(np.multiply(tau[rows], hyper.beta1, out=scratch), m_blk, out=m_blk)
-    manifold.require_tangent(y, m, "momentum")
     d = (-eta_t / np.sqrt(v_new + hyper.epsilon)) * m
     d_norm = manifold.require_tangent(y, d, "step")
     y_new, tau_new = manifold.geodesic_columns(y, d, m, norms=d_norm, overwrite=True)
-    manifold.require_unit(y_new, "new point")
-    manifold.require_tangent(y_new, tau_new, "transported momentum")
     return y_new, tau_new, v_new, h_norm
 
 

@@ -6,6 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 import time
 
 import numpy as np
+import pytest
 
 from grassopt import checks, manifold
 from grassopt.config import make_config
@@ -35,6 +36,36 @@ def test_criterion_01_manifold_operator_suite():
         print(r.line())
     print(f"  manifold suite runtime: {elapsed:.2f}s")
     _report(1, "manifold operator invariants (1000 instances, n in {2,3,16,257}, <10s)", ok)
+
+
+def _faulty_geodesic(fault):
+    """``geodesic_columns`` written out of place with one term dropped: the ``cos`` factor of the
+    exponential map, or the ``y sin`` term of the transport."""
+
+    def geodesic(y, d, delta=None, norms=None, overwrite=False):
+        nd = np.linalg.norm(d, axis=0)
+        u = d / np.where(nd < manifold.DEGENERATE_STEP, 1.0, nd)
+        cos, sin = np.cos(nd), np.sin(nd)
+        y_new = (y if fault == "no_cos" else y * cos) + u * sin
+        y_new /= np.linalg.norm(y_new, axis=0)
+        moved = d if delta is None else delta
+        bend = u * (1.0 - cos) + (0.0 if fault == "no_y_sin" else y * sin)
+        return y_new, moved - bend * np.einsum("i...,i...->...", u, moved)
+
+    return geodesic
+
+
+@pytest.mark.parametrize("fault, caught_by", [
+    ("none", set()),
+    ("no_cos", {"transported_tangency", "geodesic_consistency"}),
+    ("no_y_sin", {"translation_isometry", "transported_tangency"}),
+])
+def test_criterion_01_catches_a_faulty_geodesic(monkeypatch, fault, caught_by):
+    # The updates no longer check the new point or the transported momentum at run time,
+    # so the kernel's faults must fail this suite instead.
+    monkeypatch.setattr(manifold, "geodesic_columns", _faulty_geodesic(fault))
+    results = checks.run_manifold_suite(seed=0, instances=200, dims=(2, 3, 16))
+    assert {r.name for r in results if not r.passed} == caught_by
 
 
 def test_criterion_02_riemannian_gradient_checks():

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,13 +181,16 @@ def test_non_finite_gradient_leaves_everything_unchanged(monkeypatch, optimizer,
 
     def poisoned(*args, **kwargs):
         loss, grads, caches = real(*args, **kwargs)
-        grads[layer][name][index] = np.nan
+        grads[layer][name][index] = value
         return loss, grads, caches
 
     monkeypatch.setattr(net, "loss_and_grads", poisoned)
-    with pytest.raises(NumericalError):
-        trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
-    assert _snapshot(trainer) == before
+    for value in (np.nan, np.inf, -np.inf):
+        # The step refuses the value before numpy can warn of it.
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error")
+            trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
+        assert _snapshot(trainer) == before
 
 
 def test_wrong_dtype_velocity_is_refused_before_any_write():
@@ -235,6 +239,36 @@ def test_step_checks_each_euclidean_parameter_once(monkeypatch, optimizer):
         assert len(checked) == step * len(trainer.partition.euclidean)
     params = [trainer._param(ref) for ref in trainer.partition.euclidean]
     assert all(a is b for a, b in zip(checked, params + params))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+def test_step_checks_each_grassmann_invariant_once(monkeypatch, optimizer):
+    # Each update checks its point once, and its projected gradient h and step d once each;
+    # the new point and the transported momentum are the kernel's and are not checked again.
+    rng = np.random.default_rng(38)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    calls = []
+    real_unit, real_tangent = manifold.require_unit, manifold.require_tangent
+
+    def unit(y, what="point"):
+        calls.append(("unit", y, what))
+        return real_unit(y, what)
+
+    def tangent(y, v, what="vector"):
+        calls.append(("tangent", y, what))
+        return real_tangent(y, v, what)
+
+    monkeypatch.setattr(manifold, "require_unit", unit)
+    monkeypatch.setattr(manifold, "require_tangent", tangent)
+    for _ in range(2):
+        weights = [trainer.net.layers[s.layer_index].weight_matrix() for s in trainer.layer_states]
+        calls.clear()
+        trainer.train_step(x, labels, optim.default_eta_g(optimizer), 0.01)
+        per_layer = [("unit", "point"), ("tangent", "projected gradient"), ("tangent", "step")]
+        assert [(kind, what) for kind, _, what in calls] == per_layer * len(weights)
+        checked = [wm for wm in weights for _ in per_layer]
+        assert all(np.shares_memory(y, wm) for (_, y, _), wm in zip(calls, checked))
 
 
 def test_step_refuses_state_of_other_columns():
@@ -433,14 +467,19 @@ def _with_header(src, dst, edit):
     ("euclid_hyper", "weight_decay", -2.0),
     ("net_meta", "bn_eps", 0.0),
     ("net_meta", "kind", "rnn"),
+    # A JSON value of the wrong type, which a range check alone would take: true as 1.0, 2 or 1 as True.
+    ("euclid_hyper", "nesterov", 2),
+    (None, "alpha", True),
+    (None, "bn_weight_decay", 1),
 ])
 def test_bad_header_value_raises_validation_error(tmp_path, section, key, value):
     trainer, _ = _trained()
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
     save_checkpoint(good, trainer)
-    _with_header(good, bad, lambda header: header[section].__setitem__(key, value))
-    with pytest.raises(ValidationError, match="header"):
+    _with_header(good, bad, lambda header: (header[section] if section else header).__setitem__(key, value))
+    with pytest.raises(ValidationError, match="header") as refused:
         load_checkpoint(bad)
+    assert key in str(refused.value) or repr(value) in str(refused.value)  # names the key, or an unknown kind
 
 
 @pytest.mark.parametrize("optimizer, edit", [
@@ -448,7 +487,11 @@ def test_bad_header_value_raises_validation_error(tmp_path, section, key, value)
     ("sgd-g", lambda hyper: hyper.__setitem__("beta1", 0.5)),  # an Adam-G field
     ("adam-g", lambda hyper: hyper.__setitem__("epsilon", 0.0)),
     ("adam-g", lambda hyper: hyper.__setitem__("gamma", 0.5)),  # an SGD-G field
-], ids=["sgd-g-nu", "sgd-g-beta1", "adam-g-epsilon", "adam-g-gamma"])
+    ("sgd-g", lambda hyper: hyper.__setitem__("nu", True)),  # a JSON bool, not a float
+    ("adam-g", lambda hyper: hyper.__setitem__("beta1", 0)),  # a JSON int, not a float
+    ("adam-g", lambda hyper: hyper.pop("epsilon")),  # would load as the default
+], ids=["sgd-g-nu", "sgd-g-beta1", "adam-g-epsilon", "adam-g-gamma", "sgd-g-nu-bool", "adam-g-beta1-int",
+        "adam-g-no-epsilon"])
 def test_bad_grassmann_hyper_raises_validation_error(tmp_path, optimizer, edit):
     trainer, _ = _trained(optimizer)
     good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
@@ -516,6 +559,19 @@ def test_checkpoint_restores_every_hyperparameter(tmp_path):
         assert type(restored.grassmann_hyper) is type(grassmann)
         assert restored.alpha == 0.05 != training.ORTHO_ALPHA
         assert restored.decay_groups["bn"] is (optimizer != "sgd")
+
+
+def test_hyper_fields_given_as_ints_load_as_their_declared_types(tmp_path):
+    # A load refuses a JSON int where a float or a bool is declared, so a save must write the declared type.
+    trainer = Trainer(build_mlp(16, (16, 8), 3, np.random.default_rng(35)), "sgd-g",
+                      euclid=optim.EuclideanHyper(momentum=0, nesterov=1), grassmann=optim.SgdGHyper(gamma=0, nu=1))
+    save_checkpoint(tmp_path / "ckpt.npz", trainer)
+    restored = load_checkpoint(tmp_path / "ckpt.npz")
+    assert (restored.euclid_hyper, restored.grassmann_hyper) == (trainer.euclid_hyper, trainer.grassmann_hyper)
+    assert restored.euclid_hyper.nesterov is True
+    assert all(type(getattr(h, f)) is float for h, f in [(restored.euclid_hyper, "momentum"),
+                                                          (restored.grassmann_hyper, "gamma"),
+                                                          (restored.grassmann_hyper, "nu")])
 
 
 def test_trainer_takes_only_its_optimizers_grassmann_hyper():
@@ -633,6 +689,18 @@ def test_array_that_is_not_finite_float64_raises_validation_error(tmp_path, name
         stored = _stored_forms(archive[name])[form]
     _rewrite(good, bad, **{name: stored})
     with pytest.raises(ValidationError, match=re.escape(repr(name))):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_running_variance_that_is_not_positive_raises_validation_error(tmp_path, value):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    running_var = trainer.net.layers[1].running_var.copy()
+    running_var[2] = value
+    _rewrite(good, bad, **{"layer1.running_var": running_var})
+    with pytest.raises(ValidationError, match="'layer1.running_var' holds a variance that is not positive"):
         load_checkpoint(bad)
 
 

@@ -323,3 +323,7 @@ def test_module_entry_point_exit_codes(tmp_path):
     train = grassopt("train", "--eta_e", "0", "--out_dir", str(tmp_path / "run"))
     assert (train.returncode, train.stderr) == (1, "error: eta_e must be positive, got 0.0\n")
     assert not (tmp_path / "run").exists()
+    diverging = grassopt("train", "--optimizer", "sgd", "--eta_e", "1e18", "--epochs", "2", "--n_per_class", "30",
+                         "--dim", "8", "--hidden", "5,4", "--batch_size", "16", "--out_dir", str(tmp_path / "abort"))
+    assert diverging.returncode == 2, diverging.stderr
+    assert diverging.stderr.startswith("runtime abort: ") and diverging.stderr.count("\n") == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,10 +79,52 @@ def test_sgdg_per_step_rotation_bound():
         assert _angle(prev, y) <= hyper.gamma * tau_norm + lr * hyper.nu + 1e-12
 
 
+def _update(optimizer, g, tau=None, lr=0.1, v=0.0, t=0):
+    """One public update at a fixed unit point of R^3, with every warning raised as an error."""
+    y = np.array([0.6, 0.8, 0.0])
+    tau = np.zeros(3) if tau is None else tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if optimizer == "sgd-g":
+            return sgdg_update(y, g, tau, lr, SgdGHyper(), base=y)
+        return adamg_update(y, g, tau, v, t, lr, AdamGHyper(), base=y)
+
+
 def test_sgdg_rejects_non_finite_gradient():
-    y = np.array([1.0, 0.0])
-    with pytest.raises(NumericalError):
-        sgdg_update(y, np.array([np.nan, 0.0]), np.zeros(2), 0.1, SgdGHyper(), base=y)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            _update("sgd-g", np.array([value, 0.0, 1.0]))
+
+
+def test_adamg_rejects_non_finite_gradient():
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            _update("adam-g", np.array([value, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+def test_updates_refuse_a_momentum_that_is_not_tangent(optimizer):
+    # The step d blends the momentum with a tangent gradient, so d's tangency check covers tau.
+    with pytest.raises(PreconditionError, match="step is not tangent"):
+        _update(optimizer, np.array([0.0, 0.0, 1.0]), tau=0.5 * np.array([0.6, 0.8, 0.0]))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+@pytest.mark.parametrize("lr", [-0.1, math.inf, math.nan])
+def test_updates_refuse_a_rate_that_is_negative_or_not_finite(optimizer, lr):
+    with pytest.raises(PreconditionError, match="learning rate must be nonnegative and finite"):
+        _update(optimizer, np.array([0.0, 0.0, 1.0]), lr=lr)
+
+
+@pytest.mark.parametrize("v, t, message", [
+    (-1.0, 3, "second moments must be nonnegative and finite"),
+    (math.nan, 3, "second moments must be nonnegative and finite"),
+    (math.inf, 3, "second moments must be nonnegative and finite"),
+    (0.0, -1, "step count must be nonnegative"),
+], ids=["v-negative", "v-nan", "v-inf", "t-negative"])
+def test_adamg_refuses_state_that_is_out_of_range(v, t, message):
+    with pytest.raises(PreconditionError, match=message):
+        _update("adam-g", np.array([0.0, 0.0, 1.0]), v=v, t=t)
 
 
 def test_sgdg_scale_invariance_unclipped_direction():

@@ -20,6 +20,8 @@ repository's git state. In each copy, with BLAS pinned to one thread, it runs:
 For each run it compares the bytes of ``metrics.csv``, compares the
 checkpoint arrays that both sides hold by name (dtype, shape and bytes), and
 lists the arrays and the header keys that one side has and the other has not.
+It also prints the line count of the ``.py`` files under ``src/grassopt`` on
+each side, as ``wc -l`` counts them.
 The report goes to stdout and the copies are removed afterwards. The exit
 code is 0 whatever differs: a format change differs on purpose, so this is a
 review aid, not a test gate.
@@ -77,6 +79,17 @@ def export_tree(root, dest):
         if os.path.isfile(src):  # a tracked file deleted in the tree is left out
             os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
             shutil.copy2(src, os.path.join(dest, name))
+
+
+def src_lines(copy):
+    """Newlines in the ``.py`` files under ``src/grassopt`` of ``copy``, subpackages included."""
+    total = 0
+    for directory, _, files in os.walk(os.path.join(copy, "src", "grassopt")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def run_copy(copy):
@@ -145,9 +158,11 @@ def main(argv=None):
         os.makedirs(new_copy)
         export_ref(root, args.ref, ref_copy)
         export_tree(root, new_copy)
+        ref_lines, new_lines = src_lines(ref_copy), src_lines(new_copy)
         ref_check, ref_runs = run_copy(ref_copy)
         new_check, new_runs = run_copy(new_copy)
         print(f"REF {args.ref} against the working tree of {root}")
+        print(f"src/grassopt lines: REF {ref_lines}, tree {new_lines} ({new_lines - ref_lines:+d})")
         print(f"check --seed 0 stdout: {'identical' if ref_check == new_check else 'DIFFERS'}")
         for name in ref_runs.keys() | new_runs.keys():
             if name not in ref_runs or name not in new_runs:
