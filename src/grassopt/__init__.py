@@ -5,10 +5,10 @@ from .optim import (
     EuclideanHyper,
     LrSchedule,
     SgdGHyper,
-    adamg_update,
+    adamg_step,
     euclidean_sgd_step,
     schedule_lr,
-    sgdg_update,
+    sgdg_step,
 )
 from .regularizer import complexity_loss, descent_check, ortho_grad, ortho_loss
 
@@ -19,8 +19,8 @@ __all__ = [
     "AdamGHyper",
     "EuclideanHyper",
     "LrSchedule",
-    "sgdg_update",
-    "adamg_update",
+    "sgdg_step",
+    "adamg_step",
     "euclidean_sgd_step",
     "schedule_lr",
     "ortho_loss",

@@ -54,7 +54,7 @@ class LayerState:
 
     def step(self, wm, g, lr, hyper):
         """The state after one update of ``wm``; its gradient ``g`` becomes the new momentum."""
-        y, tau, _ = optim._sgdg_step(wm, g, self.tau, lr, hyper, self.base)
+        y, tau, _ = optim.sgdg_step(wm, g, self.tau, lr, hyper, self.base)
         return LayerState(self.layer_index, y, tau)
 
 
@@ -71,7 +71,7 @@ class AdamGState(LayerState):
         return AdamGState(layer_index, s.base, s.tau, np.zeros(wm.shape[1]), 0)
 
     def step(self, wm, g, lr, hyper):
-        y, tau, v, _ = optim._adamg_step(wm, g, self.tau, self.v, self.t, lr, hyper, self.base)
+        y, tau, v, _ = optim.adamg_step(wm, g, self.tau, self.v, self.t, lr, hyper, self.base)
         return AdamGState(self.layer_index, y, tau, v, self.t + 1)
 
 

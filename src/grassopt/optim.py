@@ -1,16 +1,16 @@
 """Optimizers: SGD with momentum and Adam on G(1, n), the Euclidean baseline, schedules.
 
-The Grassmann updates are purely functional: they take a point, an ambient
-gradient, and the previous state, and return the new point and state. Momenta
+The Grassmann steps take a point, an ambient gradient, which becomes the new
+momentum, and the previous state, and return the new point and state. Momenta
 live in the tangent space of the current point and are moved by parallel
-translation at every step. ``sgdg_update``/``adamg_update`` act on arrays of
+translation at every step. ``sgdg_step``/``adamg_step`` act on arrays of
 shape (n,) or (n, p): a single point is an ``(n,)`` unit vector, and one call
 steps every column of an n-by-p weight matrix. A rate belongs to its
-:class:`LrSchedule`, which checks it, and reaches an update as ``lr``; the
+:class:`LrSchedule`, which checks it, and reaches a step as ``lr``; the
 hyperparameter objects hold and check only the algorithms' constants.
 
 Each invariant of a Grassmann step is established in one place and checked
-once per update, where input from outside the update can break it. What the
+once per step, where input from outside the step can break it. What the
 manifold kernels build from checked inputs (a unit new point, a tangent
 transported momentum, a tangent blend of tangent vectors) is not checked
 again at run time: the tests check the kernels, and ``grassopt check`` runs
@@ -18,11 +18,14 @@ their property suite::
 
     invariant        established by            broken by outside input      its one check
     ---------------  ------------------------  ---------------------------  ----------------------------
+    g writable and   the backward: a fresh     a caller's g, tau or v       _check_update_inputs:
+    unshared; shapes array per step; Trainer                                PreconditionError (g),
+    conform          construction                                           DimensionError (shapes)
     unit points y    Trainer construction,     a write to the weights,      require_unit(y)
                      load_checkpoint; the      a caller's y
                      geodesic renormalizes
-    tangent          zeros at construction,    a caller's tau               tangency half of
-    momenta tau      load_checkpoint; the                                   require_tangent(y, d): d
+    tangent          zeros at construction,    a caller's tau               tangency of d (SGD-G) or m
+    momenta tau      load_checkpoint; the                                   (Adam-G) in require_tangent: each
                      transport                                              blends tau with tangent h
     finite           nothing: it is input      a diverging run, a caller's  np.isfinite(g), then the
     gradients g                                g, a column norm whose       norms of require_tangent(y, h):
@@ -30,16 +33,14 @@ their property suite::
     state of these   the commit: base = y'     a write to the weights       array_equal(base, y)
     weights                                    between steps, a state
                                                of another point
-    finite steps d   finite g, tau, v and lr;  an lr or a tau large enough  norms of require_tangent(y, d):
-                     the clip bounds |h'|      to overflow                  NumericalError
+    finite steps d   finite g, tau, v and lr;  an lr or a tau large enough  norms of d, from require_tangent
+                     the clip bounds |h'|      to overflow                  (y, d) under SGD-G: NumericalError
     finite lr >= 0,  the schedules             a caller's lr, v or t        _check_update_inputs (lr),
-    finite v >= 0,   (LrSchedule); v starts                                 _adamg_step (v, t):
+    finite v >= 0,   (LrSchedule); v starts                                 adamg_step (v, t):
     t >= 0           at 0, load_checkpoint                                  PreconditionError
 
 The tangency half of ``require_tangent(y, h)`` refuses a projection that
 rounding left off the tangent space, a gradient nearly parallel to its column.
-The check on ``d`` sees ``tau`` only through ``d``: under Adam-G a zero ``lr``
-makes ``d`` zero, and a non-tangent ``tau`` then passes to the next step.
 """
 
 import bisect
@@ -59,8 +60,8 @@ __all__ = [
     "AdamGHyper",
     "EuclideanHyper",
     "LrSchedule",
-    "sgdg_update",
-    "adamg_update",
+    "sgdg_step",
+    "adamg_step",
     "euclidean_sgd_step",
     "schedule_lr",
 ]
@@ -150,12 +151,18 @@ def schedule_lr(schedule: LrSchedule, epoch: int) -> float:
     return schedule.initial * schedule.factor**k
 
 
-def _check_update_inputs(y, g, tau, lr, base):
-    """Shared preconditions of the Grassmann updates; ``g`` is a float64 array."""
+def _check_update_inputs(y, g, tau, lr, base, v=None):
+    """Shared preconditions of the Grassmann steps, checked before any arithmetic."""
+    if not (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.flags.writeable):
+        raise PreconditionError("gradient must be a writable float64 array")
+    if any(np.may_share_memory(g, a) for a in (y, tau, base, v)):
+        raise PreconditionError("gradient must not share memory with the point or its state")
     if g.shape != y.shape or tau.shape != y.shape:
         raise DimensionError(
             f"gradient {g.shape} and momentum {tau.shape} must match the point {y.shape}"
         )
+    if v is not None and np.shape(v) != y.shape[1:]:
+        raise DimensionError(f"second moments {np.shape(v)} must hold one per column of the point {y.shape}")
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for a point of shape {y.shape}")
     if not 0.0 <= lr < math.inf:
@@ -175,8 +182,8 @@ def _projected_clipped(y, g, nu):
     return manifold.clip_columns(h, nu, h_norm, overwrite=True)
 
 
-def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
-    """One SGD-with-momentum step on G(1, n), column by column.
+def sgdg_step(y, g, tau, lr: float, hyper: SgdGHyper, base):
+    """One SGD-with-momentum step on G(1, n), column by column, in the buffer of ``g``.
 
     ``y``, ``g`` and ``tau`` are all ``(n,)`` or all ``(n, p)``; the p unit
     columns of an n-by-p ``y`` are one point on G(1, n)^p and move together.
@@ -190,18 +197,11 @@ def sgdg_update(y, g, tau, lr: float, hyper: SgdGHyper, base):
         y' = exp_y(d),  tau' = pt_y(d)
 
     ``base`` is the array the momentum was last left tangent at; it must
-    equal ``y``, or the state belongs to a different point. Nothing is
-    modified in place: ``g`` is copied once, and the copy becomes ``tau'``.
-    Returns ``(y', tau', |h|)``, the last being the unclipped gradient norms.
-    """
-    return _sgdg_step(y, np.array(g, dtype=np.float64), tau, lr, hyper, base)
-
-
-def _sgdg_step(y, g, tau, lr, hyper, base):
-    """:func:`sgdg_update` on a gradient it consumes.
-
-    ``g`` must be a writable float64 array that shares no memory with the
-    other arguments. It holds ``h``, then ``d``, and is returned as ``tau'``.
+    equal ``y``, or the state belongs to a different point. ``g`` must be a
+    writable float64 array that shares no memory with the other arguments.
+    It is the one input written: it holds ``h``, then ``d``, and is returned
+    as ``tau'``. A refused step may have written it too; pass a copy to keep
+    it. Returns ``(y', tau', |h|)``, the last being the unclipped gradient norms.
     """
     _check_update_inputs(y, g, tau, lr, base)
     d, h_norm = _projected_clipped(y, g, hyper.nu)
@@ -214,14 +214,15 @@ def _sgdg_step(y, g, tau, lr, hyper, base):
     return y_new, tau_new, h_norm
 
 
-def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
-    """One Adam step on G(1, n) with a single adaptive rate per column.
+def adamg_step(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
+    """One Adam step on G(1, n) with a single adaptive rate per column, in the buffer of ``g``.
 
-    Shapes and ``base`` are as in :func:`sgdg_update`; ``v`` holds one second
-    moment per column, finite and nonnegative, and ``t`` is the number of steps
-    taken so far. The
-    second moment is the EMA of the clipped gradient's squared norm, so the
-    update direction is never distorted coordinate-wise::
+    Shapes, ``base`` and ``g`` are as in :func:`sgdg_step`, but ``g`` holds
+    ``h``, then the first moment ``m``, before it becomes ``tau'``. ``v``, of
+    shape ``y.shape[1:]``, holds one second moment per column, finite and
+    nonnegative, and ``t`` is the number of steps taken so far. The second
+    moment is the EMA of the clipped gradient's squared norm, so the update
+    direction is never distorted coordinate-wise::
 
         eta_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)
         h'    = norm_clip(project(g), nu)
@@ -230,16 +231,9 @@ def adamg_update(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
         d     = -eta_t * m / sqrt(v + eps)
         y'    = exp_y(d),  tau' = pt_y(m; d)
 
-    Nothing is modified in place: ``g`` is copied once, and the copy becomes
-    ``tau'``. Returns ``(y', tau', v', |h|)``; the step count becomes ``t + 1``.
+    Returns ``(y', tau', v', |h|)``; the step count becomes ``t + 1``.
     """
-    return _adamg_step(y, np.array(g, dtype=np.float64), tau, v, t, lr, hyper, base)
-
-
-def _adamg_step(y, g, tau, v, t, lr, hyper, base):
-    """:func:`adamg_update` on a gradient it consumes, as in :func:`_sgdg_step`:
-    ``g`` holds ``h``, then ``m``, and is returned as ``tau'``."""
-    _check_update_inputs(y, g, tau, lr, base)
+    _check_update_inputs(y, g, tau, lr, base, v)
     if not np.all((v >= 0.0) & (v < math.inf)):  # NaN fails both comparisons
         raise PreconditionError("second moments must be nonnegative and finite")
     if t < 0:
@@ -252,8 +246,12 @@ def _adamg_step(y, g, tau, v, t, lr, hyper, base):
         m_blk = m[rows]
         m_blk *= 1.0 - hyper.beta1
         np.add(np.multiply(tau[rows], hyper.beta1, out=scratch), m_blk, out=m_blk)
+    # m, not d, carries tau's tangency: a zero or tiny lr shrinks d, and tau's error in it, below the tolerance.
+    manifold.require_tangent(y, m, "momentum")
     d = (-eta_t / np.sqrt(v_new + hyper.epsilon)) * m
-    d_norm = manifold.require_tangent(y, d, "step")
+    d_norm = manifold._col_norm(d)
+    if not np.isfinite(d_norm).all():
+        raise NumericalError(f"step has a column norm that is not finite, point shape {y.shape}")
     y_new, tau_new = manifold.geodesic_columns(y, d, m, norms=d_norm, overwrite=True)
     return y_new, tau_new, v_new, h_norm
 

@@ -12,7 +12,7 @@ from grassopt import checks, manifold
 from grassopt.config import make_config
 from grassopt.data import gen_blobs, normalize
 from grassopt.nn import BatchNormLayer, DenseLayer, Trainer, build_mlp
-from grassopt.optim import AdamGHyper, SgdGHyper, adamg_update, default_eta_g, sgdg_update
+from grassopt.optim import AdamGHyper, SgdGHyper, adamg_step, default_eta_g, sgdg_step
 from grassopt.regularizer import complexity_loss, descent_check
 from grassopt.runner import run_compare, run_training
 
@@ -123,14 +123,14 @@ def test_criterion_04_unit_norm_persistence():
     y = _unit_columns(64, 8, rng)
     tau = np.zeros_like(y)
     for _ in range(10_000):
-        y, tau, _ = sgdg_update(y, rng.standard_normal((64, 8)) * 3.0, tau, 0.2, SgdGHyper(), base=y)
+        y, tau, _ = sgdg_step(y, rng.standard_normal((64, 8)) * 3.0, tau, 0.2, SgdGHyper(), base=y)
     finals.append((y, tau))
 
     y = _unit_columns(64, 8, rng)
     tau, v = np.zeros_like(y), np.zeros(8)
     for t in range(10_000):
-        y, tau, v, _ = adamg_update(y, rng.standard_normal((64, 8)) * 3.0, tau, v, t, 0.05,
-                                    AdamGHyper(), base=y)
+        y, tau, v, _ = adamg_step(y, rng.standard_normal((64, 8)) * 3.0, tau, v, t, 0.05,
+                                  AdamGHyper(), base=y)
     finals.append((y, tau))
 
     worst_norm = max(float(np.max(np.abs(np.linalg.norm(y, axis=0) - 1.0))) for y, _ in finals)

@@ -83,11 +83,12 @@ def test_update_kernels_act_column_by_column():
     g[:, 2] = 0.0  # with zero momentum this column must not move at all
     tau = np.zeros_like(y)
     v = np.zeros(4)
-    bundle_sgd = optim.sgdg_update(y, g, tau, 0.2, optim.SgdGHyper(), base=y)
-    bundle_adam = optim.adamg_update(y, g, tau, v, 0, 0.05, optim.AdamGHyper(), base=y)
+    bundle_sgd = optim.sgdg_step(y, g.copy(), tau, 0.2, optim.SgdGHyper(), base=y)
+    bundle_adam = optim.adamg_step(y, g.copy(), tau, v, 0, 0.05, optim.AdamGHyper(), base=y)
     for j in range(4):
-        col_sgd = optim.sgdg_update(y[:, j], g[:, j], tau[:, j], 0.2, optim.SgdGHyper(), base=y[:, j])
-        col_adam = optim.adamg_update(y[:, j], g[:, j], tau[:, j], v[j], 0, 0.05, optim.AdamGHyper(), base=y[:, j])
+        col_sgd = optim.sgdg_step(y[:, j], g[:, j].copy(), tau[:, j], 0.2, optim.SgdGHyper(), base=y[:, j])
+        col_adam = optim.adamg_step(y[:, j], g[:, j].copy(), tau[:, j], v[j], 0, 0.05, optim.AdamGHyper(),
+                                    base=y[:, j])
         for bundle, col in ((bundle_sgd, col_sgd), (bundle_adam, col_adam)):
             for b, c in zip(bundle, col):
                 assert np.max(np.abs(b[..., j] - c)) <= 1e-15
@@ -103,9 +104,9 @@ def test_update_kernels_refuse_state_of_another_point():
     other = y.copy()
     other[:, 1] *= -1.0  # the same subspaces, but not the array the momentum was left at
     with pytest.raises(PreconditionError, match="different point"):
-        optim.sgdg_update(y, g, tau, 0.1, optim.SgdGHyper(), base=other)
+        optim.sgdg_step(y, g.copy(), tau, 0.1, optim.SgdGHyper(), base=other)
     with pytest.raises(PreconditionError, match="different point"):
-        optim.adamg_update(y, g, tau, np.zeros(3), 0, 0.1, optim.AdamGHyper(), base=other)
+        optim.adamg_step(y, g.copy(), tau, np.zeros(3), 0, 0.1, optim.AdamGHyper(), base=other)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
@@ -125,6 +126,30 @@ def test_train_step_makes_no_per_column_calls(monkeypatch, optimizer):
     trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
     assert shapes == [(20, 12), (12, 6)]
     assert [s.tau.shape for s in trainer.layer_states] == shapes
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-g", "adam-g"])
+def test_train_step_calls_the_public_updates_through_optim(monkeypatch, optimizer):
+    # The step a patched optim module holds (a tracer, a fault injection) is the one a train
+    # step runs: one call per Grassmann layer, none under the sgd baseline.
+    rng = np.random.default_rng(30)
+    trainer = Trainer(build_mlp(20, (12, 6), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 20)), rng.integers(0, 3, 32)
+    calls = []
+
+    def counting(name):
+        real = getattr(optim, name)
+
+        def step(y, *args):
+            calls.append((name, y.shape))
+            return real(y, *args)
+        return step
+
+    for name in ("sgdg_step", "adamg_step"):
+        monkeypatch.setattr(optim, name, counting(name))
+    trainer.train_step(x, labels, optim.default_eta_g(trainer.optimizer), 0.01)
+    want = {"sgd": [], "sgd-g": ["sgdg_step"] * 2, "adam-g": ["adamg_step"] * 2}[optimizer]
+    assert calls == list(zip(want, [(20, 12), (12, 6)]))
 
 
 def test_train_step_adds_one_ortho_grad_per_layer_and_no_ortho_loss(monkeypatch):
@@ -243,8 +268,9 @@ def test_step_checks_each_euclidean_parameter_once(monkeypatch, optimizer):
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
 def test_step_checks_each_grassmann_invariant_once(monkeypatch, optimizer):
-    # Each update checks its point once, and its projected gradient h and step d once each;
-    # the new point and the transported momentum are the kernel's and are not checked again.
+    # Each update checks its point once, and its projected gradient h and the blend of tau
+    # (SGD-G: the step d; Adam-G: the first moment m) once each; the new point and the
+    # transported momentum are the kernel's and are not checked again.
     rng = np.random.default_rng(38)
     trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
     x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
@@ -265,7 +291,8 @@ def test_step_checks_each_grassmann_invariant_once(monkeypatch, optimizer):
         weights = [trainer.net.layers[s.layer_index].weight_matrix() for s in trainer.layer_states]
         calls.clear()
         trainer.train_step(x, labels, optim.default_eta_g(optimizer), 0.01)
-        per_layer = [("unit", "point"), ("tangent", "projected gradient"), ("tangent", "step")]
+        blend = "step" if optimizer == "sgd-g" else "momentum"
+        per_layer = [("unit", "point"), ("tangent", "projected gradient"), ("tangent", blend)]
         assert [(kind, what) for kind, _, what in calls] == per_layer * len(weights)
         checked = [wm for wm in weights for _ in per_layer]
         assert all(np.shares_memory(y, wm) for (_, y, _), wm in zip(calls, checked))

@@ -86,13 +86,15 @@ def _cases(seed):
     yield y, _gradient("random", y, 1.0, rng) * np.array(safe), _momentum(y, 0.3, rng), 0.1, "mixed", None
 
 
-def _call_unchanged(update, *args):
-    """``update(*args)``, checking that it writes none of its array arguments."""
-    before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+def _call_unchanged(step, y, g, tau, *args, base):
+    """``step(y, g.copy(), tau, *args, base)``: the step consumes the copy of ``g``. Checks that
+    it writes none of ``y``, ``tau``, ``base`` and, under Adam-G, the second moments in ``args``."""
+    inputs = [y, tau, base] + [a for a in args if isinstance(a, np.ndarray)]
+    before = [a.tobytes() for a in inputs]
     try:
-        return update(*args)
+        return step(y, g.copy(), tau, *args, base)
     finally:
-        assert [a.tobytes() for a in args if isinstance(a, np.ndarray)] == before
+        assert [a.tobytes() for a in inputs] == before
 
 
 def _expect(y, g, kind, scale, refused):
@@ -112,7 +114,7 @@ def test_sgdg_update_takes_the_clipped_step_or_refuses():
     outcomes = set()
     for y, g, tau, lr, kind, scale in _cases(0):
         try:
-            y_new, tau_new, _ = _call_unchanged(optim.sgdg_update, y, g, tau, lr, hyper, y.copy())
+            y_new, tau_new, _ = _call_unchanged(optim.sgdg_step, y, g, tau, lr, hyper, base=y.copy())
         except NumericalError:
             _expect(y, g, kind, scale, True)
             outcomes.add("refused")
@@ -142,7 +144,7 @@ def test_adamg_update_takes_the_clipped_step_or_refuses():
         v = rng.uniform(0.0, hyper.nu**2, y.shape[1]) if t else np.zeros(y.shape[1])
         try:
             y_new, tau_new, v_new, _ = _call_unchanged(
-                lambda *a: optim.adamg_update(*a, hyper, y.copy()), y, g, tau, v, t, lr
+                optim.adamg_step, y, g, tau, v, t, lr, hyper, base=y.copy()
             )
         except NumericalError:
             _expect(y, g, kind, scale, True)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 import update_oracle
-from grassopt import manifold, optim
-from grassopt.errors import NumericalError, PreconditionError
+from grassopt import manifold
+from grassopt.errors import DimensionError, NumericalError, PreconditionError
 from grassopt.optim import (
     AdamGHyper,
     EuclideanHyper,
     LrSchedule,
     SgdGHyper,
-    adamg_update,
+    adamg_step,
     euclidean_sgd_step,
     schedule_lr,
-    sgdg_update,
+    sgdg_step,
 )
 
 
@@ -31,7 +31,7 @@ def _angle(y1, y2):
 
 def test_sgdg_zero_gradient_is_fixed_point():
     y = np.array([1.0, 0.0])
-    y2, tau2, _ = sgdg_update(y, np.zeros(2), np.zeros(2), 0.2, SgdGHyper(), base=y)
+    y2, tau2, _ = sgdg_step(y, np.zeros(2), np.zeros(2), 0.2, SgdGHyper(), base=y)
     assert np.array_equal(y2, y)
     assert np.linalg.norm(tau2) == 0.0
 
@@ -39,7 +39,7 @@ def test_sgdg_zero_gradient_is_fixed_point():
 def test_sgdg_analytic_single_step():
     y = np.array([1.0, 0.0])
     hyper = SgdGHyper(gamma=0.9, nu=0.1)
-    y2, tau2, _ = sgdg_update(y, np.array([0.0, 1.0]), np.zeros(2), 0.2, hyper, base=y)
+    y2, tau2, _ = sgdg_step(y, np.array([0.0, 1.0]), np.zeros(2), 0.2, hyper, base=y)
     # clipped gradient [0, 0.1], step d = [0, -0.02]
     assert y2 == pytest.approx([math.cos(0.02), -math.sin(0.02)], abs=1e-15)
     assert np.linalg.norm(tau2) == pytest.approx(0.02, abs=1e-15)
@@ -56,11 +56,11 @@ def test_sgdg_cumulative_contribution_bound():
     # single large gradient, then zero gradients: total rotation <= 0.2
     y_start = y
     total = 0.0
-    y, tau, _ = sgdg_update(y, 50.0 * rng.standard_normal(16), tau, 0.2, hyper, base=y)
+    y, tau, _ = sgdg_step(y, 50.0 * rng.standard_normal(16), tau, 0.2, hyper, base=y)
     total += _angle(y_start, y)
     for _ in range(300):
         prev = y
-        y, tau, _ = sgdg_update(y, np.zeros(16), tau, 0.2, hyper, base=y)
+        y, tau, _ = sgdg_step(y, np.zeros(16), tau, 0.2, hyper, base=y)
         total += _angle(prev, y)
     assert total <= 0.2 + 1e-12
     assert total == pytest.approx(0.2, rel=1e-6)  # geometric series actually attains it
@@ -75,19 +75,30 @@ def test_sgdg_per_step_rotation_bound():
     for _ in range(200):
         tau_norm = float(np.linalg.norm(tau))
         prev = y
-        y, tau, _ = sgdg_update(y, rng.standard_normal(8) * 3.0, tau, lr, hyper, base=y)
+        y, tau, _ = sgdg_step(y, rng.standard_normal(8) * 3.0, tau, lr, hyper, base=y)
         assert _angle(prev, y) <= hyper.gamma * tau_norm + lr * hyper.nu + 1e-12
 
 
-def _update(optimizer, g, tau=None, lr=0.1, v=0.0, t=0):
-    """One public update at a fixed unit point of R^3, with every warning raised as an error."""
-    y = np.array([0.6, 0.8, 0.0])
-    tau = np.zeros(3) if tau is None else tau
+def _update(optimizer, g, tau=None, lr=0.1, v=0.0, t=0, y=None, base=None):
+    """One step at a fixed unit point of R^3, or at ``y``, with every warning raised as an error.
+    ``base`` defaults to ``y`` itself."""
+    y = np.array([0.6, 0.8, 0.0]) if y is None else y
+    tau = np.zeros(y.shape) if tau is None else tau
+    base = y if base is None else base
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if optimizer == "sgd-g":
-            return sgdg_update(y, g, tau, lr, SgdGHyper(), base=y)
-        return adamg_update(y, g, tau, v, t, lr, AdamGHyper(), base=y)
+            return sgdg_step(y, g, tau, lr, SgdGHyper(), base)
+        return adamg_step(y, g, tau, v, t, lr, AdamGHyper(), base)
+
+
+def _step_inputs(seed):
+    """``(y, g, tau, base, v)`` for a 4x3 point: a tangent momentum, ``base`` a copy of ``y``."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((4, 3))
+    y /= np.linalg.norm(y, axis=0)
+    tau = manifold.project_columns(y, 0.1 * rng.standard_normal((4, 3)))
+    return y, rng.standard_normal((4, 3)), tau, y.copy(), np.full(3, 0.01)
 
 
 def test_sgdg_rejects_non_finite_gradient():
@@ -104,9 +115,68 @@ def test_adamg_rejects_non_finite_gradient():
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
 def test_updates_refuse_a_momentum_that_is_not_tangent(optimizer):
-    # The step d blends the momentum with a tangent gradient, so d's tangency check covers tau.
-    with pytest.raises(PreconditionError, match="step is not tangent"):
+    # SGD-G's step d and Adam-G's first moment m blend the momentum with a tangent gradient,
+    # so the tangency check of d, or of m, covers tau.
+    blend = "step" if optimizer == "sgd-g" else "momentum"
+    with pytest.raises(PreconditionError, match=f"{blend} is not tangent"):
         _update(optimizer, np.array([0.0, 0.0, 1.0]), tau=0.5 * np.array([0.6, 0.8, 0.0]))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+@pytest.mark.parametrize("lr", [0.0, 1e-12])
+def test_updates_refuse_a_momentum_that_is_not_tangent_at_a_zero_or_tiny_rate(optimizer, lr):
+    # Adam-G scales its step d by lr, so only the check of m sees tau's error at such a rate.
+    y, g, _, _, v = _step_inputs(46)
+    tau = 0.5 * y
+    before = _bytes([y, tau, v])
+    with pytest.raises(PreconditionError, match="not tangent"):
+        _update(optimizer, g, tau=tau, lr=lr, v=v, y=y)
+    assert _bytes([y, tau, v]) == before
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), ()])
+def test_adamg_refuses_second_moments_of_another_shape(shape):
+    # One second moment per column of the 4x3 point; a (1,) v would broadcast silently to (3,).
+    y, g, tau, base, _ = _step_inputs(47)
+    v = np.full(shape, 0.01)
+    before = _bytes([y, tau, base, v])
+    with pytest.raises(DimensionError, match="second moments"):
+        _update("adam-g", g, tau=tau, v=v, y=y, base=base)
+    assert _bytes([y, tau, base, v]) == before
+
+
+_UNWRITABLE_GRADIENTS = {
+    "readonly": lambda y, g, tau, base, v: (y, np.broadcast_to(g, g.shape), tau, base, v),
+    "float32": lambda y, g, tau, base, v: (y, g.astype(np.float32), tau, base, v),
+    "list": lambda y, g, tau, base, v: (y, g.tolist(), tau, base, v),
+    "aliased_point": lambda y, g, tau, base, v: (y, y, tau, base, v),
+    "overlapping_point": lambda y, g, tau, base, v: (y, y[::-1], tau, base, v),
+    "aliased_momentum": lambda y, g, tau, base, v: (y, tau, tau, base, v),
+    "aliased_base": lambda y, g, tau, base, v: (y, base, tau, base, v),
+    "aliased_second_moments": lambda y, g, tau, base, v: (y, g, tau, base, g[0]),
+}
+
+
+@pytest.mark.parametrize("optimizer, case", [
+    (optimizer, case) for optimizer in ("sgd-g", "adam-g") for case in _UNWRITABLE_GRADIENTS
+    if optimizer == "adam-g" or case != "aliased_second_moments"  # SGD-G has no v
+])
+def test_steps_refuse_a_gradient_they_cannot_write(optimizer, case):
+    # A step writes its gradient, so it refuses one that is not its own float64 buffer
+    # before it writes anything.
+    y, g, tau, base, v = args = _UNWRITABLE_GRADIENTS[case](*_step_inputs(48))
+    before = _bytes(args)
+    with pytest.raises(PreconditionError, match="gradient must"):
+        _update(optimizer, g, tau=tau, v=v, y=y, base=base)
+    assert _bytes(args) == before
+
+
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+def test_step_returns_its_gradient_buffer_as_the_new_momentum(optimizer):
+    y, g, tau, base, v = _step_inputs(49)
+    before = _bytes([y, tau, base, v])
+    assert _update(optimizer, g, tau=tau, v=v, y=y, base=base)[1] is g
+    assert _bytes([y, tau, base, v]) == before
 
 
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
@@ -132,8 +202,8 @@ def test_sgdg_scale_invariance_unclipped_direction():
     y = _unit(6, rng)
     g = rng.standard_normal(6) * 0.01  # small enough that no clipping occurs
     hyper = SgdGHyper(nu=0.1)
-    y1, _, _ = sgdg_update(y, g, np.zeros(6), 0.2, hyper, base=y)
-    y2, _, _ = sgdg_update(y, 3.0 * g, np.zeros(6), 0.2, hyper, base=y)
+    y1, _, _ = sgdg_step(y, g.copy(), np.zeros(6), 0.2, hyper, base=y)
+    y2, _, _ = sgdg_step(y, 3.0 * g, np.zeros(6), 0.2, hyper, base=y)
     # same geodesic: both new points lie in span{y, h} on the same side
     h = manifold.project_columns(y, g)
     u = h / np.linalg.norm(h)
@@ -147,9 +217,9 @@ def test_sgdg_scale_invariance_clipped_identical():
     y = _unit(6, rng)
     g = rng.standard_normal(6)  # |projection| >> nu, clipping active
     hyper = SgdGHyper(nu=0.1)
-    y1, _, _ = sgdg_update(y, g, np.zeros(6), 0.2, hyper, base=y)
+    y1, _, _ = sgdg_step(y, g.copy(), np.zeros(6), 0.2, hyper, base=y)
     for c in (2.0, 17.5, 1e6):
-        y2, _, _ = sgdg_update(y, c * g, np.zeros(6), 0.2, hyper, base=y)
+        y2, _, _ = sgdg_step(y, c * g, np.zeros(6), 0.2, hyper, base=y)
         assert np.max(np.abs(y1 - y2)) < 1e-12
 
 
@@ -165,7 +235,7 @@ def test_sgdg_rayleigh_descent_oracle():
         tau = np.zeros(8)
         hyper = SgdGHyper(gamma=0.0, nu=1e6)
         for _ in range(200):
-            y, tau, _ = sgdg_update(y, 2.0 * (a @ y), tau, 0.01, hyper, base=y)
+            y, tau, _ = sgdg_step(y, 2.0 * (a @ y), tau, 0.01, hyper, base=y)
         assert float(y @ a @ y) - oracle_min < 1e-6
 
 
@@ -173,7 +243,7 @@ def test_adamg_zero_gradient_never_moves():
     y = np.array([0.0, 1.0])
     tau, v = np.zeros(2), 0.0
     for t in range(10):
-        y2, tau, v, _ = adamg_update(y, np.zeros(2), tau, v, t, 0.05, AdamGHyper(), base=y)
+        y2, tau, v, _ = adamg_step(y, np.zeros(2), tau, v, t, 0.05, AdamGHyper(), base=y)
         assert np.array_equal(y2, y)
         y = y2
     assert v == 0.0
@@ -192,7 +262,7 @@ def test_adamg_first_step_algebra():
     m1 = 0.1 * h_hat
     v1 = 0.01 * float(h_hat @ h_hat)
     d_norm = eta_1 * np.linalg.norm(m1) / math.sqrt(v1 + hyper.epsilon)
-    y2, _, v2, _ = adamg_update(y, g, np.zeros(10), 0.0, 0, lr, hyper, base=y)
+    y2, _, v2, _ = adamg_step(y, g, np.zeros(10), 0.0, 0, lr, hyper, base=y)
     assert v2 == pytest.approx(v1, rel=1e-12)
     assert _angle(y, y2) == pytest.approx(d_norm, abs=1e-12)
     assert d_norm <= lr * (1.0 - hyper.beta1) / math.sqrt(1.0 - hyper.beta2) + 1e-12
@@ -207,8 +277,8 @@ def test_adamg_norm_bound_over_run():
     for t in range(2000):
         scale = 10.0 ** rng.uniform(-3, 2)  # stress bursts and lulls
         prev = y
-        y, tau, v, _ = adamg_update(y, scale * rng.standard_normal(16), tau, v, t, lr,
-                                    AdamGHyper(), base=y)
+        y, tau, v, _ = adamg_step(y, scale * rng.standard_normal(16), tau, v, t, lr,
+                                  AdamGHyper(), base=y)
         max_step = max(max_step, _angle(prev, y))
     assert max_step <= lr + 1e-6
 
@@ -218,7 +288,7 @@ def test_unit_norm_and_tangency_persist():
     y = _unit(32, rng)
     tau = np.zeros(32)
     for _ in range(2000):
-        y, tau, _ = sgdg_update(y, rng.standard_normal(32), tau, 0.2, SgdGHyper(), base=y)
+        y, tau, _ = sgdg_step(y, rng.standard_normal(32), tau, 0.2, SgdGHyper(), base=y)
     assert abs(np.linalg.norm(y) - 1.0) < 1e-9
     assert abs(float(y @ tau)) < 1e-9 * (1.0 + np.linalg.norm(tau))
 
@@ -400,8 +470,8 @@ def _oracle_gradient(y, kinds, step, pool, rng):
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
 @pytest.mark.parametrize("shape", [(20000,), (3000, 1), (784, 256), (1000, 200)])
 def test_updates_match_out_of_place_oracle_bytes(optimizer, shape):
-    # The trainer's update works in its gradient's buffer and in row blocks; the bytes of
-    # every output must stay those of the old out-of-place update over a chained run.
+    # The step works in its gradient's buffer and in row blocks; the bytes of every output
+    # must stay those of the old out-of-place update over a chained run.
     rng = np.random.default_rng(44)
     y = rng.standard_normal(shape)
     y /= np.linalg.norm(y, axis=0)
@@ -413,13 +483,11 @@ def test_updates_match_out_of_place_oracle_bytes(optimizer, shape):
         g = _oracle_gradient(y, kinds, step, pool, rng)
         if optimizer == "sgd-g":
             args = (y, g, tau, 0.2, sgdg, y)
-            oracle, public, program = update_oracle.sgdg_update, sgdg_update, optim._sgdg_step
+            oracle, program = update_oracle.sgdg_update, sgdg_step
         else:
             args = (y, g, tau, v, step, 0.05, adamg, y)
-            oracle, public, program = update_oracle.adamg_update, adamg_update, optim._adamg_step
+            oracle, program = update_oracle.adamg_update, adamg_step
         want = _bytes(oracle(*args))
-        if step == 10:  # the public update copies g and takes the same path
-            assert _bytes(public(*args)) == want
         got = program(*args)  # consumes g
         assert _bytes(got) == want, step
         if step < 10:
@@ -454,10 +522,10 @@ def _two_steps(hyper):
     tau, v, out = np.zeros_like(y), np.zeros(4), []
     for t in range(2):
         if isinstance(hyper, SgdGHyper):
-            y, tau, h_norm = sgdg_update(y, g, tau, 0.2, hyper, base=y)
+            y, tau, h_norm = sgdg_step(y, g.copy(), tau, 0.2, hyper, base=y)
             out += [y, tau, h_norm]
         elif isinstance(hyper, AdamGHyper):
-            y, tau, v, h_norm = adamg_update(y, g, tau, v, t, 0.05, hyper, base=y)
+            y, tau, v, h_norm = adamg_step(y, g.copy(), tau, v, t, 0.05, hyper, base=y)
             out += [y, tau, v, h_norm]
         else:
             y, tau = euclidean_sgd_step(y.copy(), g.copy(), tau.copy(), 0.01, hyper)
