@@ -9,12 +9,12 @@ moves in one vectorised update, with its optimizer state held per layer in
 the optimizer's own state type, which carries its update. The baseline
 optimizer ("sgd") skips the partition and treats every parameter as Euclidean.
 
-A step applies completely or not at all: every Grassmann update is computed
-and checked, and every Euclidean parameter's inputs are checked, before any
-parameter, optimizer state or BN statistic is written. The commit then copies
-each new Grassmann point into the network's weights, takes the new layer
-states, which hold the fresh result arrays, and applies the Euclidean steps,
-which write their parameters and velocities in place on the inputs already checked.
+A step applies completely or not at all. Every Grassmann update is computed
+and checked first, writing only its own gradient. One call of
+``optim.euclidean_sgd_step`` then checks every Euclidean parameter before it
+writes any, so a refusal leaves the trainer as it was. The commit that follows
+cannot fail: it copies each new Grassmann point into the network's weights and
+takes the new layer states. The BN statistics are written last.
 
 The step owns the gradients that the backward returns, and the updates work in
 them: a Grassmann update turns its layer's gradient into the new momentum, and
@@ -205,7 +205,7 @@ class Trainer:
         net = self.net
         loss, grads, caches = self._loss_and_grads(bx, by)
 
-        # Compute (and check) every update first; write only once all succeeded.
+        # Compute (and check) every Grassmann update first; each writes only its own gradient.
         grassmann = []
         angles = []
         for state in self.layer_states:
@@ -218,20 +218,18 @@ class Trainer:
             angles.append(angle_columns(wm, new.base))
             grassmann.append((wm, new))
 
-        # The Euclidean step writes in place, so only its inputs are checked here, once.
-        euclid = []
-        for ref, velocity in zip(self.partition.euclidean, self.velocities):
-            w = self._param(ref)
-            g = optim._check_euclidean_inputs(w, grads[ref.layer_index][ref.name], velocity)
-            euclid.append((ref, w, g, velocity))
+        # All or nothing: the step checks every Euclidean parameter before it writes any.
+        refs = self.partition.euclidean
+        optim.euclidean_sgd_step(
+            [self._param(ref) for ref in refs], [grads[ref.layer_index][ref.name] for ref in refs],
+            self.velocities, lr_e, self.euclid_hyper, [self.decay_groups[ref.group] for ref in refs],
+        )
 
         # The new states hold the fresh result arrays as they are; only the network's
         # weights, which its layers hold, are written in place.
         for wm, new in grassmann:
             wm[...] = new.base
         self.layer_states = [new for _, new in grassmann]
-        for ref, w, g, velocity in euclid:
-            optim._apply_euclidean_step(w, g, velocity, lr_e, self.euclid_hyper, self.decay_groups[ref.group])
         net.apply_running_updates(caches)
 
         angles_arr = np.concatenate(angles) if angles else np.zeros(1)

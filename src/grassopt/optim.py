@@ -18,8 +18,8 @@ their property suite::
 
     invariant        established by            broken by outside input      its one check
     ---------------  ------------------------  ---------------------------  ----------------------------
-    g writable and   the backward: a fresh     a caller's g, tau or v       _check_update_inputs:
-    unshared; shapes array per step; Trainer                                PreconditionError (g),
+    g writable and   the backward: a fresh     a caller's y, g, tau or v    _check_update_inputs:
+    unshared; shapes array per step; Trainer                                PreconditionError (y, tau, g),
     conform          construction                                           DimensionError (shapes)
     unit points y    Trainer construction,     a write to the weights,      require_unit(y)
                      load_checkpoint; the      a caller's y
@@ -35,9 +35,11 @@ their property suite::
                                                of another point
     finite steps d   finite g, tau, v and lr;  an lr or a tau large enough  norms of d, from require_tangent
                      the clip bounds |h'|      to overflow                  (y, d) under SGD-G: NumericalError
-    finite lr >= 0,  the schedules             a caller's lr, v or t        _check_update_inputs (lr),
-    finite v >= 0,   (LrSchedule); v starts                                 adamg_step (v, t):
+    finite lr >= 0,  the schedules             a caller's lr, v or t        _check_lr in _check_update_inputs
+    finite v >= 0,   (LrSchedule); v starts                                 (lr), adamg_step (v, t):
     t >= 0           at 0, load_checkpoint                                  PreconditionError
+    Euclidean lr:    the schedules             a caller's lr                the same _check_lr, in
+    finite, >= 0     (LrSchedule)                                           euclidean_sgd_step: PreconditionError
 
 The tangency half of ``require_tangent(y, h)`` refuses a projection that
 rounding left off the tangent space, a gradient nearly parallel to its column.
@@ -151,8 +153,17 @@ def schedule_lr(schedule: LrSchedule, epoch: int) -> float:
     return schedule.initial * schedule.factor**k
 
 
+def _check_lr(lr):
+    """The one check of a step's rate, made once per step call before any write."""
+    if not 0.0 <= lr < math.inf:
+        raise PreconditionError(f"learning rate must be nonnegative and finite, got {lr}")
+
+
 def _check_update_inputs(y, g, tau, lr, base, v=None):
     """Shared preconditions of the Grassmann steps, checked before any arithmetic."""
+    for name, a in (("point y", y), ("momentum tau", tau)):
+        if not isinstance(a, np.ndarray):
+            raise PreconditionError(f"{name} must be a numpy array, got {type(a).__name__}")
     if not (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.flags.writeable):
         raise PreconditionError("gradient must be a writable float64 array")
     if any(np.may_share_memory(g, a) for a in (y, tau, base, v)):
@@ -165,8 +176,7 @@ def _check_update_inputs(y, g, tau, lr, base, v=None):
         raise DimensionError(f"second moments {np.shape(v)} must hold one per column of the point {y.shape}")
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for a point of shape {y.shape}")
-    if not 0.0 <= lr < math.inf:
-        raise PreconditionError(f"learning rate must be nonnegative and finite, got {lr}")
+    _check_lr(lr)
     if not np.array_equal(base, y):
         raise PreconditionError("momentum state belongs to a different point")
     manifold.require_unit(y, "point")
@@ -257,7 +267,7 @@ def adamg_step(y, g, tau, v, t: int, lr: float, hyper: AdamGHyper, base):
 
 
 def _check_euclidean_inputs(w, g, velocity):
-    """Preconditions of the Euclidean step; returns ``g`` as a float array.
+    """Preconditions of one parameter of the Euclidean step; returns ``g`` as a float array.
 
     The step writes ``w`` and ``velocity`` in place, so both must be writable
     float64 arrays; it may add the decay term into ``g``, so ``g`` must be
@@ -280,46 +290,37 @@ def _check_euclidean_inputs(w, g, velocity):
     return g
 
 
-def euclidean_sgd_step(
-    w: np.ndarray,
-    g: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    hyper: EuclideanHyper,
-    apply_weight_decay: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step with (optionally Nesterov) momentum on a Euclidean parameter, in place.
+def euclidean_sgd_step(params, grads, velocities, lr: float, hyper: EuclideanHyper, decay) -> None:
+    """One SGD step with (optionally Nesterov) momentum on a group of Euclidean parameters, in place.
 
-    The L2 term ``weight_decay * w`` is folded into the gradient before the
-    momentum update::
+    ``params``, ``grads``, ``velocities`` and ``decay`` are sequences of one length.
+    Each parameter ``w``, with gradient ``g`` and velocity ``v`` of its shape, takes
+    the L2 term before the momentum update when its ``decay`` flag is true::
 
-        g' = g + weight_decay * w
+        g' = g + weight_decay * w   (decay false: g' = g)
         v' = momentum * v + g'
         w' = w - lr * (g' + momentum * v')   (Nesterov; else w - lr * v')
 
-    Arrays of any shape are accepted; the velocity mirrors the parameter's
-    shape. ``w`` and ``velocity`` are written in place, and ``g`` receives the
-    decay term when it applies; every input is checked before anything is
-    written. Returns ``(w, velocity)``, the objects it was given.
+    ``w`` and ``v`` are written in place and ``g`` receives the decay term. The rate and
+    every parameter are checked before any write, so the whole group steps or none of it.
     """
-    g = _check_euclidean_inputs(w, g, velocity)
-    return _apply_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay)
-
-
-def _apply_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
-    """The writes of :func:`euclidean_sgd_step`, on inputs that passed ``_check_euclidean_inputs``."""
-    decay = apply_weight_decay and hyper.weight_decay != 0.0
-    for rows, tmp in manifold._row_blocks(w.shape):
-        w_blk, g_blk, v_blk = w[rows], g[rows], velocity[rows]
-        if decay:
-            g_blk += np.multiply(w_blk, hyper.weight_decay, out=tmp)
-        v_blk *= hyper.momentum
-        v_blk += g_blk
-        if hyper.nesterov:
-            np.multiply(v_blk, hyper.momentum, out=tmp)
-            tmp += g_blk
-            tmp *= lr
-        else:
-            np.multiply(v_blk, lr, out=tmp)
-        w_blk -= tmp
-    return w, velocity
+    lengths = [len(a) for a in (params, grads, velocities, decay)]
+    if len(set(lengths)) > 1:
+        raise PreconditionError(f"params, grads, velocities and decay must have one length, got {lengths}")
+    _check_lr(lr)
+    grads = [_check_euclidean_inputs(w, g, velocity) for w, g, velocity in zip(params, grads, velocities)]
+    for w, g, velocity, decays in zip(params, grads, velocities, decay):
+        l2 = hyper.weight_decay if decays else 0.0
+        for rows, tmp in manifold._row_blocks(w.shape):
+            w_blk, g_blk, v_blk = w[rows], g[rows], velocity[rows]
+            if l2 != 0.0:
+                g_blk += np.multiply(w_blk, l2, out=tmp)
+            v_blk *= hyper.momentum
+            v_blk += g_blk
+            if hyper.nesterov:
+                np.multiply(v_blk, hyper.momentum, out=tmp)
+                tmp += g_blk
+                tmp *= lr
+            else:
+                np.multiply(v_blk, lr, out=tmp)
+            w_blk -= tmp

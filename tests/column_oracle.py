@@ -94,7 +94,7 @@ class ColumnOracle:
             wm[:, j] = y_new
         for ref, velocity in zip(tr.partition.euclidean, tr.velocities):
             optim.euclidean_sgd_step(
-                tr._param(ref), grads[ref.layer_index][ref.name], velocity, lr_e, tr.euclid_hyper,
-                apply_weight_decay=tr.decay_groups[ref.group],
+                [tr._param(ref)], [grads[ref.layer_index][ref.name]], [velocity], lr_e, tr.euclid_hyper,
+                [tr.decay_groups[ref.group]],
             )
         net.apply_running_updates(caches)

@@ -266,6 +266,32 @@ def test_step_checks_each_euclidean_parameter_once(monkeypatch, optimizer):
     assert all(a is b for a, b in zip(checked, params + params))
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "sgd-g", "adam-g"])
+def test_train_step_calls_the_public_euclidean_step_through_optim(monkeypatch, optimizer):
+    # One call per step, through the module, so a patched (or traced) optim.euclidean_sgd_step
+    # is the one the trainer runs, and it carries every Euclidean parameter.
+    rng = np.random.default_rng(39)
+    trainer = Trainer(build_mlp(16, (16, 8), 3, rng), optimizer)
+    x, labels = rng.standard_normal((32, 16)), rng.integers(0, 3, 32)
+    calls = []
+    real_step = optim.euclidean_sgd_step
+
+    def recording(params, grads, velocities, lr, hyper, decay):
+        calls.append((list(params), list(velocities), list(decay)))
+        return real_step(params, grads, velocities, lr, hyper, decay)
+
+    monkeypatch.setattr(optim, "euclidean_sgd_step", recording)
+    refs = trainer.partition.euclidean
+    for step in range(1, 3):
+        trainer.train_step(x, labels, optim.default_eta_g(optimizer), 0.01)
+        assert len(calls) == step
+        params, velocities, decay = calls[-1]
+        assert len(params) == len(refs) > 0
+        assert all(a is trainer._param(ref) for a, ref in zip(params, refs))
+        assert all(a is b for a, b in zip(velocities, trainer.velocities))
+        assert decay == [trainer.decay_groups[ref.group] for ref in refs]
+
+
 @pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
 def test_step_checks_each_grassmann_invariant_once(monkeypatch, optimizer):
     # Each update checks its point once, and its projected gradient h and the blend of tau

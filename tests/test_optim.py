@@ -186,6 +186,21 @@ def test_updates_refuse_a_rate_that_is_negative_or_not_finite(optimizer, lr):
         _update(optimizer, np.array([0.0, 0.0, 1.0]), lr=lr)
 
 
+@pytest.mark.parametrize("optimizer", ["sgd-g", "adam-g"])
+@pytest.mark.parametrize("name", ["y", "tau"])
+def test_steps_refuse_a_point_or_momentum_that_is_not_an_array(optimizer, name):
+    # A list has no shape: the step names it before any arithmetic, not with an AttributeError.
+    y, g, tau, base, v = _step_inputs(50)
+    inputs = {"y": y, "tau": tau}
+    inputs[name] = inputs[name].tolist()
+    args = (inputs["y"], g, inputs["tau"], base, v)
+    before = _bytes(args)
+    what = "point y" if name == "y" else "momentum tau"
+    with pytest.raises(PreconditionError, match=f"{what} must be a numpy array, got list"):
+        _update(optimizer, g, tau=inputs["tau"], v=v, y=inputs["y"], base=base)
+    assert _bytes(args) == before
+
+
 @pytest.mark.parametrize("v, t, message", [
     (-1.0, 3, "second moments must be nonnegative and finite"),
     (math.nan, 3, "second moments must be nonnegative and finite"),
@@ -296,8 +311,8 @@ def test_unit_norm_and_tangency_persist():
 def test_euclidean_fixed_point_without_decay():
     w = np.array([1.0, -2.0])
     before = w.copy()
-    w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, EuclideanHyper(weight_decay=0.0))
-    assert np.array_equal(w2, before)
+    euclidean_sgd_step([w], [np.zeros(2)], [np.zeros(2)], 0.1, EuclideanHyper(weight_decay=0.0), [True])
+    assert np.array_equal(w, before)
 
 
 def test_euclidean_weight_decay_effective_gradient():
@@ -305,51 +320,57 @@ def test_euclidean_weight_decay_effective_gradient():
     w = np.array([4.0, -8.0])
     before = w.copy()
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
-    w2, v2 = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper)
-    assert v2 == pytest.approx(0.0005 * before, abs=1e-18)
-    assert w2 == pytest.approx(before - 0.1 * 0.0005 * before, abs=1e-18)
-    assert not np.array_equal(w2, before)
+    v = np.zeros(2)
+    euclidean_sgd_step([w], [np.zeros(2)], [v], 0.1, hyper, [True])
+    assert v == pytest.approx(0.0005 * before, abs=1e-18)
+    assert w == pytest.approx(before - 0.1 * 0.0005 * before, abs=1e-18)
+    assert not np.array_equal(w, before)
 
 
 def test_euclidean_decay_flag_disables_term():
     w = np.array([4.0, -8.0])
     before = w.copy()
     hyper = EuclideanHyper(momentum=0.0, weight_decay=0.0005, nesterov=False)
-    w2, _ = euclidean_sgd_step(w, np.zeros(2), np.zeros(2), 0.1, hyper, apply_weight_decay=False)
-    assert np.array_equal(w2, before)
+    euclidean_sgd_step([w], [np.zeros(2)], [np.zeros(2)], 0.1, hyper, [False])
+    assert np.array_equal(w, before)
 
 
-def _out_of_place_euclidean_step(w, g, velocity, lr, hyper, apply_weight_decay):
-    # The step as it was written before it worked in place: fresh arrays at every pass.
-    if apply_weight_decay and hyper.weight_decay != 0.0:
+def _out_of_place_euclidean_step(w, g, velocity, lr, hyper, decay):
+    # The step on one parameter as it was written before it worked in place: fresh arrays at every pass.
+    if decay and hyper.weight_decay != 0.0:
         g = g + hyper.weight_decay * w
     v = hyper.momentum * velocity + g
     update = g + hyper.momentum * v if hyper.nesterov else v
     return w - lr * update, v
 
 
+_ORACLE_SHAPES = [(784, 256), (1000, 200), (10,)]
+
+
 @pytest.mark.parametrize("nesterov", [True, False])
 @pytest.mark.parametrize("decay", ["on", "off", "zero"])
-@pytest.mark.parametrize("shape", [(784, 256), (1000, 200), (10,)])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES + [_ORACLE_SHAPES])  # the last: one group of all three
 def test_euclidean_in_place_matches_out_of_place_oracle(nesterov, decay, shape):
     rng = np.random.default_rng(41)
     hyper = EuclideanHyper(momentum=0.9, weight_decay=0.0 if decay == "zero" else 0.0005,
                            nesterov=nesterov)
-    apply_decay = decay != "off"
-    w = rng.standard_normal(shape)
-    velocity = np.zeros(shape)
-    w_ref, v_ref = w.copy(), velocity.copy()
+    shapes = shape if isinstance(shape, list) else [shape]
+    flags = [(decay != "off") != (i % 2 == 1) for i in range(len(shapes))]  # a group mixes them
+    ws = [rng.standard_normal(s) for s in shapes]
+    velocities = [np.zeros(s) for s in shapes]
+    refs = [(w.copy(), v.copy()) for w, v in zip(ws, velocities)]
     for step in range(4):
-        g = rng.standard_normal(shape)
-        g_before = g.copy()
+        gs = [rng.standard_normal(s) for s in shapes]
+        gs_before = [g.copy() for g in gs]
         lr = 0.01 * (step + 1)
-        w_ref, v_ref = _out_of_place_euclidean_step(w_ref, g.copy(), v_ref, lr, hyper, apply_decay)
-        w2, v2 = euclidean_sgd_step(w, g, velocity, lr, hyper, apply_weight_decay=apply_decay)
-        assert w2 is w and v2 is velocity
-        assert w.tobytes() == w_ref.tobytes()
-        assert velocity.tobytes() == v_ref.tobytes()
-        if decay != "on":
-            assert g.tobytes() == g_before.tobytes()
+        refs = [_out_of_place_euclidean_step(w_ref, g.copy(), v_ref, lr, hyper, flag)
+                for (w_ref, v_ref), g, flag in zip(refs, gs, flags)]
+        assert euclidean_sgd_step(ws, gs, velocities, lr, hyper, flags) is None
+        for w, velocity, g, g_before, (w_ref, v_ref), flag in zip(ws, velocities, gs, gs_before, refs, flags):
+            assert w.tobytes() == w_ref.tobytes()
+            assert velocity.tobytes() == v_ref.tobytes()
+            if not (flag and hyper.weight_decay != 0.0):
+                assert g.tobytes() == g_before.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -370,16 +391,58 @@ def test_euclidean_refuses_unwritable_state_before_writing(make):
     w, g, velocity = make(np.array([1.0, -2.0]), np.ones(2), np.array([0.5, 0.25]))
     before = [np.array(a, copy=True).tobytes() for a in (w, g, velocity)]
     with pytest.raises(PreconditionError):
-        euclidean_sgd_step(w, g, velocity, 0.1, EuclideanHyper())
+        euclidean_sgd_step([w], [g], [velocity], 0.1, EuclideanHyper(), [True])
     assert [np.array(a, copy=True).tobytes() for a in (w, g, velocity)] == before
 
 
 def test_euclidean_refuses_non_finite_gradient_before_writing():
     w, velocity, g = np.array([1.0, -2.0]), np.array([0.5, 0.25]), np.array([1.0, np.inf])
     with pytest.raises(NumericalError):
-        euclidean_sgd_step(w, g, velocity, 0.1, EuclideanHyper())
+        euclidean_sgd_step([w], [g], [velocity], 0.1, EuclideanHyper(), [True])
     assert w.tolist() == [1.0, -2.0] and velocity.tolist() == [0.5, 0.25]
     assert g.tolist() == [1.0, np.inf]  # the decay term is not added either
+
+
+def _euclidean_group(seed):
+    """``(params, grads, velocities)``: three parameters of different shapes with nonzero velocities."""
+    rng = np.random.default_rng(seed)
+    shapes = [(5, 3), (3,), (2, 2, 2)]
+    return tuple([rng.standard_normal(s) for s in shapes] for _ in range(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_euclidean_group_with_a_non_finite_last_gradient_is_not_written(value):
+    # The step checks every parameter before it writes any: the first two stay as they were too.
+    params, grads, velocities = _euclidean_group(51)
+    grads[-1][0] = value
+    before = _bytes(params + grads + velocities)
+    with warnings.catch_warnings(), pytest.raises(NumericalError, match="non-finite gradient"):
+        warnings.simplefilter("error")
+        euclidean_sgd_step(params, grads, velocities, 0.1, EuclideanHyper(), [True, True, True])
+    assert _bytes(params + grads + velocities) == before
+
+
+@pytest.mark.parametrize("short", ["params", "grads", "velocities", "decay"])
+def test_euclidean_refuses_sequences_of_unequal_length(short):
+    params, grads, velocities = _euclidean_group(52)
+    args = {"params": params, "grads": grads, "velocities": velocities, "decay": [True, False, True]}
+    args[short] = args[short][:-1]
+    before = _bytes(params + grads + velocities)
+    with pytest.raises(PreconditionError, match="must have one length"):
+        euclidean_sgd_step(args["params"], args["grads"], args["velocities"], 0.1, EuclideanHyper(),
+                           args["decay"])
+    assert _bytes(params + grads + velocities) == before
+
+
+@pytest.mark.parametrize("lr", [-1.0, math.inf, math.nan])
+def test_euclidean_refuses_a_rate_that_is_negative_or_not_finite(lr):
+    params, grads, velocities = _euclidean_group(53)
+    before = _bytes(params + grads + velocities)
+    with warnings.catch_warnings(), pytest.raises(PreconditionError,
+                                                  match="learning rate must be nonnegative and finite"):
+        warnings.simplefilter("error")
+        euclidean_sgd_step(params, grads, velocities, lr, EuclideanHyper(), [True, True, True])
+    assert _bytes(params + grads + velocities) == before
 
 
 def _scalar_recurrence_oracle(momentum, nesterov, lr, steps):
@@ -400,7 +463,7 @@ def test_euclidean_matches_scalar_recurrence_oracle():
     w = np.array([1.0])
     v = np.zeros(1)
     for expected in _scalar_recurrence_oracle(0.9, True, 0.1, 100):
-        w, v = euclidean_sgd_step(w, w.copy(), v, 0.1, hyper)
+        euclidean_sgd_step([w], [w.copy()], [v], 0.1, hyper, [True])
         assert w[0] == expected
     assert 0.5 * w[0] ** 2 < 1e-6  # converged
 
@@ -413,7 +476,7 @@ def test_euclidean_monotone_descent_without_momentum():
     v = np.zeros(1)
     previous = 0.5 * float(w @ w)
     for _ in range(100):
-        w, v = euclidean_sgd_step(w, w.copy(), v, 0.1, hyper)
+        euclidean_sgd_step([w], [w.copy()], [v], 0.1, hyper, [True])
         current = 0.5 * float(w @ w)
         assert current < previous
         previous = current
@@ -528,7 +591,8 @@ def _two_steps(hyper):
             y, tau, v, h_norm = adamg_step(y, g.copy(), tau, v, t, 0.05, hyper, base=y)
             out += [y, tau, v, h_norm]
         else:
-            y, tau = euclidean_sgd_step(y.copy(), g.copy(), tau.copy(), 0.01, hyper)
+            y, tau = y.copy(), tau.copy()
+            euclidean_sgd_step([y], [g.copy()], [tau], 0.01, hyper, [True])
             out += [y, tau]
     return [a.tobytes() for a in out]
 
