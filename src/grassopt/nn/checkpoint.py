@@ -3,20 +3,21 @@
 The on-disk format is an ``.npz`` archive holding every float64 array verbatim
 plus one JSON header describing the architecture, the partition and the
 optimizer hyperparameters: only what loading reads, so no learning rate.
-Loading rebuilds a :class:`~grassopt.nn.training.Trainer` whose arrays compare
-bit-exact with the saved ones; it refuses an array that is not finite float64,
-a BN running variance that is not positive, and a header scalar whose JSON type
-is not its field's; a save refuses an array that is not finite.
+The arrays are one table, ``_state``, each with its name and bound. A save
+writes it and refuses an array that is not finite. A load fills a rebuilt
+:class:`~grassopt.nn.training.Trainer` from it in place, bit-exact. It refuses
+an array that is missing, misshapen, not finite float64 or out of its bound (a
+BN ``running_var`` must be positive, Adam-G's ``layer{k}.v`` nonnegative), a
+Grassmann layer whose columns are not unit or whose momenta are not tangent at
+them, and a header scalar whose JSON type is not its field's.
 
-Format version 3 stores the state of the trainer's one Grassmann optimizer.
-The header holds its hyperparameters as ``grassmann_hyper`` (null for
-``sgd``). Momenta are stored per point (column): the momentum of point ``i``
-is the array ``point{i}.tau``, and points are numbered over the Grassmann
-layers in order and the columns in order within each, so a layer owns one
-contiguous block of indices. Adam-G adds, per Grassmann layer ``k``, its
-second moments as ``layer{k}.v`` (nonnegative), and the header's ``t``, the
-step count that every step advances in every layer alike. The trainer holds
-its state per layer, and only this module knows the per-column layout.
+Format version 3 stores the state of the trainer's one Grassmann optimizer,
+its hyperparameters as the header's ``grassmann_hyper`` (null for ``sgd``).
+The momentum of point (column) ``i`` is ``point{i}.tau``: points are numbered
+over the Grassmann layers in order, then the columns in order, so a layer owns
+one contiguous block. Adam-G's header adds ``t``, the step count that every
+step advances in every layer alike. The trainer holds its state per layer;
+only this module knows the per-column layout.
 
 A save writes a temporary file beside the target, syncs it to disk and
 renames it over the target, so an interrupted save or a crash leaves the
@@ -43,13 +44,23 @@ __all__ = ["CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint"]
 CHECKPOINT_VERSION = 3
 
 
-def _layer_arrays(net):
-    for k, layer in enumerate(net.layers):
+def _state(trainer):
+    """Every stored array, the trainer's own, as ``(name, array, bound)`` in the archive's order. A
+    bound beyond finite float64 is ``(test against 0, what an array that fails it holds)``, or None."""
+    for k, layer in enumerate(trainer.net.layers):
         for name, arr in layer.params().items():
-            yield f"layer{k}.{name}", arr
+            yield f"layer{k}.{name}", arr, None
         if isinstance(layer, BatchNormLayer):
-            yield f"layer{k}.running_mean", layer.running_mean
-            yield f"layer{k}.running_var", layer.running_var
+            yield f"layer{k}.running_mean", layer.running_mean, None
+            yield f"layer{k}.running_var", layer.running_var, (np.greater, "a variance that is not positive")
+    columns = (s.tau[:, j] for s in trainer.layer_states for j in range(s.tau.shape[1]))  # in _points order
+    for i, tau in enumerate(columns):
+        yield f"point{i}.tau", tau, None
+    for i, velocity in enumerate(trainer.velocities):
+        yield f"euclid{i}.velocity", velocity, None
+    if trainer.optimizer == "adam-g":
+        for state in trainer.layer_states:
+            yield f"layer{state.layer_index}.v", state.v, (np.greater_equal, "a negative second moment")
 
 
 def _points(trainer):
@@ -61,11 +72,7 @@ def _points(trainer):
 
 def save_checkpoint(path, trainer: Trainer) -> None:
     """Write ``trainer`` to ``path`` atomically; NumericalError, ``path`` untouched, if not finite."""
-    arrays = dict(_layer_arrays(trainer.net))
-    columns = [s.tau[:, j] for s in trainer.layer_states for j in range(s.tau.shape[1])]  # in _points order
-    arrays.update((f"point{i}.tau", tau) for i, tau in enumerate(columns))
-    for i, velocity in enumerate(trainer.velocities):
-        arrays[f"euclid{i}.velocity"] = velocity
+    arrays = {name: arr for name, arr, _ in _state(trainer)}
     hyper = trainer.grassmann_hyper
     header = {
         "version": CHECKPOINT_VERSION,
@@ -81,8 +88,6 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         },
     }
     if trainer.optimizer == "adam-g":
-        for state in trainer.layer_states:
-            arrays[f"layer{state.layer_index}.v"] = state.v
         header["t"] = trainer.layer_states[0].t if trainer.layer_states else 0
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
@@ -186,30 +191,20 @@ def load_checkpoint(path) -> Trainer:
     if type(t) is not int or t < 0:
         raise ValidationError(f"checkpoint step count t must be a nonnegative int, got {t!r}")
 
-    for name, arr in _layer_arrays(net):
+    for name, arr, bound in _state(trainer):
         arr[...] = _array(arrays, name, arr.shape)
-        if name.endswith(".running_var") and not (arr > 0.0).all():
-            raise ValidationError(f"checkpoint array {name!r} holds a variance that is not positive")
+        if bound and not bound[0](arr, 0.0).all():
+            raise ValidationError(f"checkpoint array {name!r} holds {bound[1]}")
 
-    first = 0  # the layer's columns are points first, first + 1, ..., first + p - 1
-    for state in trainer.layer_states:
+    for state in trainer.layer_states:  # what spans a layer: its columns, and its momenta at them
         k = state.layer_index
         wm = net.layers[k].weight_matrix()
-        n, p = wm.shape
-        tau = np.column_stack([_array(arrays, f"point{first + j}.tau", (n,)) for j in range(p)])
         try:
-            manifold.require_unit(wm, f"layer {k} columns")
-            manifold.require_tangent(wm, tau, f"layer {k} momentum")
+            manifold.require_unit(wm, f"'layer{k}.{net.layers[k].weight_name}' columns")
+            manifold.require_tangent(wm, state.tau, f"layer {k} momentum")
         except (PreconditionError, NumericalError) as exc:
             raise ValidationError(f"checkpoint: {exc}") from None
-        state.base, state.tau = wm.copy(), tau
+        state.base = wm.copy()
         if adam:
-            v = _array(arrays, f"layer{k}.v", (p,))
-            if (v < 0.0).any():
-                raise ValidationError(f"checkpoint array 'layer{k}.v' holds a negative second moment")
-            state.v, state.t = v, t
-        first += p
-
-    for i, velocity in enumerate(trainer.velocities):
-        velocity[...] = _array(arrays, f"euclid{i}.velocity", velocity.shape)
+            state.t = t
     return trainer

@@ -62,15 +62,6 @@ class Network:
         self.layers = list(layers)
         self.meta = dict(meta or {})
 
-    def forward(self, x, training=False):
-        """Run all layers; returns (logits, caches). Pure: no state is touched."""
-        caches = []
-        out = x
-        for layer in self.layers:
-            out, cache = layer.forward(out, training=training)
-            caches.append(cache)
-        return out, caches
-
     def backward(self, dlogits, caches):
         """Backpropagate from the logits gradient; returns per-layer grad dicts.
 
@@ -82,9 +73,14 @@ class Network:
             dx, grads[k] = self.layers[k].backward(dx, caches[k], input_grad=k > 0)
         return grads
 
-    def loss_and_grads(self, x, labels, training=True):
-        """Forward, softmax-CE loss, and full backward in one call."""
-        logits, caches = self.forward(x, training=training)
+    def loss_and_grads(self, x, labels):
+        """The train pass: train-mode forward, softmax-CE loss, full backward; ``(loss, grads, caches)``.
+        Pure: no state is touched; ``apply_running_updates`` commits the caches' BN statistics."""
+        caches = []
+        logits = x
+        for layer in self.layers:
+            logits, cache = layer.forward(logits, training=True)
+            caches.append(cache)
         loss, dlogits = softmax_ce(logits, labels)
         if not np.isfinite(loss):
             raise NumericalError("non-finite training loss")

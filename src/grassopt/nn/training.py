@@ -180,7 +180,7 @@ class Trainer:
 
     def _loss_and_grads(self, bx, by):
         """Forward/backward once, with the penalty's gradient added into each Grassmann layer's."""
-        loss, grads, caches = self.net.loss_and_grads(bx, by, training=True)
+        loss, grads, caches = self.net.loss_and_grads(bx, by)
         if self.alpha > 0:
             for k in self.partition.grassmann_layers:  # none for the sgd baseline
                 # Unit columns are the update's precondition, checked there once per step.

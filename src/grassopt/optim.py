@@ -40,6 +40,8 @@ their property suite::
     t >= 0           at 0, load_checkpoint                                  PreconditionError
     Euclidean lr:    the schedules             a caller's lr                the same _check_lr, in
     finite, >= 0     (LrSchedule)                                           euclidean_sgd_step: PreconditionError
+    Euclidean group: the trainer's fresh       a caller's group that        euclidean_sgd_step, by owning
+    no shared buffer arrays                    repeats or shares an array   buffer: PreconditionError
 
 The tangency half of ``require_tangent(y, h)`` refuses a projection that
 rounding left off the tangent space, a gradient nearly parallel to its column.
@@ -301,14 +303,18 @@ def euclidean_sgd_step(params, grads, velocities, lr: float, hyper: EuclideanHyp
         v' = momentum * v + g'
         w' = w - lr * (g' + momentum * v')   (Nesterov; else w - lr * v')
 
-    ``w`` and ``v`` are written in place and ``g`` receives the decay term. The rate and
-    every parameter are checked before any write, so the whole group steps or none of it.
+    ``w`` and ``v`` are written in place and ``g`` receives the decay term, so no two arrays of
+    the group may share a buffer. The rate, every parameter and the buffers are checked before
+    any write, so the whole group steps or none of it.
     """
     lengths = [len(a) for a in (params, grads, velocities, decay)]
     if len(set(lengths)) > 1:
         raise PreconditionError(f"params, grads, velocities and decay must have one length, got {lengths}")
     _check_lr(lr)
     grads = [_check_euclidean_inputs(w, g, velocity) for w, g, velocity in zip(params, grads, velocities)]
+    arrays = [*params, *grads, *velocities]
+    if len({id(a if a.base is None else a.base) for a in arrays}) < len(arrays):  # the owning buffers
+        raise PreconditionError("no two arrays of a Euclidean group may share a buffer")
     for w, g, velocity, decays in zip(params, grads, velocities, decay):
         l2 = hyper.weight_decay if decays else 0.0
         for rows, tmp in manifold._row_blocks(w.shape):

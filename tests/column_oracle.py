@@ -79,7 +79,7 @@ class ColumnOracle:
     def train_step(self, bx, by, lr_g, lr_e):
         tr = self.trainer
         net = tr.net
-        _, grads, caches = net.loss_and_grads(bx, by, training=True)
+        _, grads, caches = net.loss_and_grads(bx, by)
         if tr.alpha > 0:
             for k in tr.partition.grassmann_layers:
                 wm = net.layers[k].weight_matrix()

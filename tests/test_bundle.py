@@ -757,6 +757,17 @@ def test_running_variance_that_is_not_positive_raises_validation_error(tmp_path,
         load_checkpoint(bad)
 
 
+def test_grassmann_columns_that_are_not_unit_raise_validation_error(tmp_path):
+    trainer, _ = _trained()
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    save_checkpoint(good, trainer)
+    w = trainer.net.layers[3].W.copy()  # layer 3, the one Grassmann layer
+    w[:, 2] *= 1.5  # its momentum stays tangent: only the unit check can refuse it
+    _rewrite(good, bad, **{"layer3.W": w})
+    with pytest.raises(ValidationError, match="'layer3.W' columns must be unit norm"):
+        load_checkpoint(bad)
+
+
 def test_save_refuses_non_finite_state_and_keeps_previous_checkpoint(tmp_path):
     trainer, _ = _trained()
     path = tmp_path / "checkpoint.npz"

@@ -101,7 +101,6 @@ def test_riemannian_check_requires_a_unit_vector():
 
 def test_fd_gradient_matches_bn_network_backprop():
     from grassopt.nn import build_mlp
-    from grassopt.nn.layers import softmax_ce
 
     rng = np.random.default_rng(5)
     net = build_mlp(5, (3,), 2, rng)
@@ -113,13 +112,12 @@ def test_fd_gradient_matches_bn_network_backprop():
         saved = layer.W.copy()
         layer.W[...] = flat.reshape(layer.W.shape)
         try:
-            logits, _ = net.forward(x, training=True)
-            return softmax_ce(logits, labels)[0]
+            return net.loss_and_grads(x, labels)[0]
         finally:
             layer.W[...] = saved
 
     numeric = fd_gradient(loss_of_weights, layer.W.ravel(), eps=1e-6)
-    _, grads, _ = net.loss_and_grads(x, labels, training=True)
+    _, grads, _ = net.loss_and_grads(x, labels)
     analytic = grads[0]["W"].ravel()
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)
     assert np.max(np.abs(analytic - numeric)) / scale < 1e-4

@@ -47,6 +47,15 @@ def _fd_loss_gradient(loss_fn, array, eps=1e-5):
     return grad
 
 
+def _forward(net, x, training):
+    """Logits and per-layer caches of one pass through ``net``'s layers in the given mode."""
+    caches = []
+    for layer in net.layers:
+        x, cache = layer.forward(x, training=training)
+        caches.append(cache)
+    return x, caches
+
+
 # ---------------------------------------------------------------- batch norm
 
 def test_bn_constant_column_outputs_offset():
@@ -437,11 +446,11 @@ def test_end_to_end_gradients_match_finite_differences(build):
     labels = rng.integers(0, 3, x.shape[0])
 
     def loss():
-        logits, _ = net.forward(x, training=True)
+        logits, _ = _forward(net, x, training=True)
         value, _ = softmax_ce(logits, labels)
         return value
 
-    _, grads, _ = net.loss_and_grads(x, labels, training=True)
+    _, grads, _ = net.loss_and_grads(x, labels)
     for k, layer in enumerate(net.layers):
         for name, param in layer.params().items():
             numeric = _fd_loss_gradient(loss, param, eps=1e-5)
@@ -468,14 +477,22 @@ def _move_running_stats(net, rng):
 @pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 def test_network_forward_is_pure(build, training):
+    # The network's two passes, loss_and_grads (train) and evaluate (eval), touch no state.
     rng = np.random.default_rng(28)
     net, x = build(rng)
+    labels = rng.integers(0, 3, x.shape[0])
     _move_running_stats(net, rng)
     before = _state_bytes(net)
-    first, _ = net.forward(x, training=training)
-    second, _ = net.forward(x, training=training)
+
+    def run():
+        if not training:
+            return net.evaluate(x, labels)
+        loss, grads, _ = net.loss_and_grads(x, labels)
+        return loss, [g.tobytes() for layer in grads for g in layer.values()]
+
+    first, second = run(), run()
     assert _state_bytes(net) == before
-    assert first.tobytes() == second.tobytes()
+    assert first == second
 
 
 @pytest.mark.parametrize("build", [_small_mlp, _small_convnet], ids=["mlp", "conv"])
@@ -485,7 +502,7 @@ def test_network_backward_skips_only_first_input_gradient(build):
     rng = np.random.default_rng(29)
     net, x = build(rng)
     labels = rng.integers(0, 3, x.shape[0])
-    logits, caches = net.forward(x, training=True)
+    logits, caches = _forward(net, x, training=True)
     _, dlogits = softmax_ce(logits, labels)
     grads = net.backward(dlogits, caches)
     dx = dlogits
@@ -513,7 +530,7 @@ def test_evaluate_matches_whole_split_forward(build):
             layer.scale[:] = rng.uniform(0.5, 2.0, layer.units)
     x = rng.standard_normal((300,) + x.shape[1:])
     labels = rng.integers(0, 3, x.shape[0])
-    logits, _ = net.forward(x, training=False)
+    logits, _ = _forward(net, x, training=False)
     ref_loss, _ = softmax_ce(logits, labels)
     ref_acc = float(np.mean(logits.argmax(axis=1) == labels))
     before = _state_bytes(net)
@@ -552,7 +569,7 @@ def test_evaluate_memory_does_not_grow_with_the_split():
     try:
         small = _traced_peak(lambda: net.evaluate(x[:512], labels[:512]))
         large = _traced_peak(lambda: net.evaluate(x, labels))
-        cached = _traced_peak(lambda: net.forward(x[:256], training=False))
+        cached = _traced_peak(lambda: _forward(net, x[:256], training=False))
     finally:
         tracemalloc.stop()
     assert abs(large - small) <= 0.1 * small, (small, large)
@@ -585,13 +602,13 @@ def test_forward_scale_invariance_of_partitioned_columns():
     net = build_mlp(6, (4,), 3, rng, bn_eps=1e-12)
     x = rng.standard_normal((16, 6))
     part = partition_parameters(net)
-    base, _ = net.forward(x, training=True)
+    base, _ = _forward(net, x, training=True)
     assert part.grassmann_layers == (0,)
     wm = net.layers[0].weight_matrix()
     saved = wm[:, 1].copy()
     for k in (0.5, 3.0, 100.0):
         wm[:, 1] = k * saved
-        out, _ = net.forward(x, training=True)
+        out, _ = _forward(net, x, training=True)
         assert np.max(np.abs(out - base)) < 1e-10
     # negative scaling flips the pre-activation sign
     wm[:, 1] = -saved
@@ -685,7 +702,7 @@ def test_train_step_decreases_separable_toy_loss():
     trainer = Trainer(net, "sgd-g", rng=rng)
 
     def loss_now():
-        logits, _ = net.forward(x, training=True)
+        logits, _ = _forward(net, x, training=True)
         value, _ = softmax_ce(logits, labels)
         return value
 

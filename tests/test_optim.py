@@ -445,6 +445,27 @@ def test_euclidean_refuses_a_rate_that_is_negative_or_not_finite(lr):
     assert _bytes(params + grads + velocities) == before
 
 
+@pytest.mark.parametrize("share", ["parameter_twice", "velocity_twice", "gradient_is_a_parameter",
+                                   "overlapping_views"])
+def test_euclidean_refuses_a_group_whose_arrays_share_a_buffer(share):
+    # Each parameter alone passes its checks, but the group would write one buffer twice.
+    rng = np.random.default_rng(54)
+    params, grads, velocities = ([rng.standard_normal(3) for _ in range(2)] for _ in range(3))
+    if share == "parameter_twice":
+        params[1] = params[0]
+    elif share == "velocity_twice":
+        velocities[1] = velocities[0]
+    elif share == "gradient_is_a_parameter":
+        grads[1] = params[0]
+    else:
+        buffer = rng.standard_normal(4)
+        params = [buffer[:3], buffer[1:]]
+    before = _bytes(params + grads + velocities)
+    with pytest.raises(PreconditionError, match="no two arrays of a Euclidean group may share a buffer"):
+        euclidean_sgd_step(params, grads, velocities, 0.1, EuclideanHyper(), [True, True])
+    assert _bytes(params + grads + velocities) == before
+
+
 def _scalar_recurrence_oracle(momentum, nesterov, lr, steps):
     # independent plain-float recurrence for f(w) = |w|^2/2 from w0 = 1
     w, v = 1.0, 0.0
