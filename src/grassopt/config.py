@@ -103,7 +103,6 @@ class TrainConfig:
     normalize_mode: str = _key("data", str, "standard")
     label_column: str = _key("data", str, "label")
     out_dir: str = _key("output", str, "runs/default")
-    timing: bool = _key("output", _bool, False)
 
     def __post_init__(self):
         if self.arch not in _ARCHS:

@@ -196,14 +196,17 @@ def load_checkpoint(path) -> Trainer:
         if bound and not bound[0](arr, 0.0).all():
             raise ValidationError(f"checkpoint array {name!r} holds {bound[1]}")
 
+    first = 0  # the layer's first point
     for state in trainer.layer_states:  # what spans a layer: its columns, and its momenta at them
         k = state.layer_index
         wm = net.layers[k].weight_matrix()
         try:
             manifold.require_unit(wm, f"'layer{k}.{net.layers[k].weight_name}' columns")
-            manifold.require_tangent(wm, state.tau, f"layer {k} momentum")
+            for j in range(wm.shape[1]):  # one point at a time, so the refusal names the stored array
+                manifold.require_tangent(wm[:, j], state.tau[:, j], f"'point{first + j}.tau'")
         except (PreconditionError, NumericalError) as exc:
             raise ValidationError(f"checkpoint: {exc}") from None
+        first += wm.shape[1]
         state.base = wm.copy()
         if adam:
             state.t = t

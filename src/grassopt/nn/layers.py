@@ -253,15 +253,23 @@ class BatchNormLayer:
         return out.reshape(x.shape), (xhat, inv_std, mean, var)
 
     def update_running(self, cache):
-        """Fold the cached batch statistics into the running averages (eval caches are ignored)."""
+        """Fold the cached batch statistics into the running averages (eval caches are ignored).
+
+        In place, with the bytes of ``(1 - w) * running + w * batch``; both
+        batch terms exist before the first write, so none is allocated between writes.
+        """
         if cache is None:
             return
         xhat, _, mean, var = cache
         rows = xhat.size // self.units
-        unbiased = var * rows / (rows - 1)
         w = self.momentum_stats
-        self.running_mean = (1.0 - w) * self.running_mean + w * mean
-        self.running_var = (1.0 - w) * self.running_var + w * unbiased
+        batch_mean = w * mean
+        batch_var = var * rows / (rows - 1)
+        batch_var *= w
+        self.running_mean *= 1.0 - w
+        self.running_mean += batch_mean
+        self.running_var *= 1.0 - w
+        self.running_var += batch_var
 
     def backward(self, dout, cache, input_grad=True):
         if cache is None:

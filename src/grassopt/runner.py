@@ -2,11 +2,13 @@
 
 ``run_training`` owns the epoch loop: it streams one metrics record per epoch
 (flushed immediately, so a crash leaves a valid prefix), refreshes the
-checkpoint after every epoch, and leaves the resolved config beside the
-outputs. ``run_compare`` repeats training across a shared seed set per
-optimizer and reports the median final test error of each.
+checkpoint after every epoch, records the epoch's phase times in
+``timing.jsonl``, and leaves the resolved config beside the outputs.
+``run_compare`` repeats training across a shared seed set per optimizer and
+reports the median final test error of each.
 """
 
+import json
 import os
 import time
 import numpy as np
@@ -61,10 +63,16 @@ def resolve_out_dir(cfg: TrainConfig) -> str:
 def run_training(cfg: TrainConfig, out_dir: str | None = None):
     """Train per the config; returns (records, paths).
 
-    Writes ``metrics.csv``, ``checkpoint.npz``, and ``config.ini`` under the
-    output directory. Deterministic for a fixed seed: identical configs
-    produce byte-identical ``metrics.csv`` files (enable ``timing`` to record
-    real wall time instead of 0.0, which breaks that).
+    Writes ``metrics.csv``, ``checkpoint.npz``, ``timing.jsonl`` and
+    ``config.ini`` under the output directory. Each evaluation point, the
+    initial state and then one per epoch, trains (no step at point 0),
+    evaluates both splits and the orthogonality loss, appends a metrics row
+    and saves the checkpoint. After the save it appends one JSON line to
+    ``timing.jsonl``: ``epoch``, the seconds of its ``train_s``,
+    ``evaluate_s`` and ``save_s`` phases, and ``elapsed_s`` since the first
+    point began. The timings are the only output that differs from run to
+    run: ``wall_time`` is always 0.0, so identical configs produce
+    byte-identical ``metrics.csv`` files.
     """
     euclid, grassmann, schedule_e, schedule_g = cfg.optimizer_objects()
     ds = build_dataset(cfg)
@@ -85,43 +93,54 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None):
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")
-    started = time.monotonic()
+    timing_path = os.path.join(out_dir, "timing.jsonl")
     records = []
-
-    def record(epoch, step, mean_angle, lr_e, lr_g):
-        train_loss, train_acc = net.evaluate(train_x, ds.train_y)
-        test_loss, test_acc = net.evaluate(test_x, ds.test_y)
-        return MetricsRecord(
-            epoch=epoch,
-            step=step,
-            train_loss=train_loss,
-            train_acc=train_acc,
-            test_loss=test_loss,
-            test_acc=test_acc,
-            ortho_loss_total=trainer.ortho_total(),
-            mean_step_angle_radians=mean_angle,
-            lr_e=lr_e,
-            lr_g=lr_g,
-            wall_time=(time.monotonic() - started) if cfg.timing else 0.0,
-        )
-
     step = 0
-    with MetricsWriter(metrics_path) as writer:
-        rec = record(0, 0, 0.0, schedule_lr(schedule_e, 0), schedule_lr(schedule_g, 0))
-        records.append(rec)
-        writer.write(rec)
-        save_checkpoint(checkpoint_path, trainer)
-        for epoch in range(cfg.epochs):
-            lr_e = schedule_lr(schedule_e, epoch)
-            lr_g = schedule_lr(schedule_g, epoch)
-            stats = trainer.train_epoch(train_x, ds.train_y, cfg.batch_size, lr_g, lr_e)
-            step += stats.steps
-            rec = record(epoch + 1, step, stats.mean_angle, lr_e, lr_g)
+    with MetricsWriter(metrics_path) as writer, open(timing_path, "w") as timing:
+        started = time.monotonic()
+        for epoch in range(cfg.epochs + 1):  # evaluation point 0 is the initial state, before any step
+            lr_e = schedule_lr(schedule_e, max(epoch - 1, 0))
+            lr_g = schedule_lr(schedule_g, max(epoch - 1, 0))
+            t_train = t_evaluate = time.monotonic()
+            mean_angle = 0.0
+            if epoch:
+                stats = trainer.train_epoch(train_x, ds.train_y, cfg.batch_size, lr_g, lr_e)
+                step += stats.steps
+                mean_angle = stats.mean_angle
+                t_evaluate = time.monotonic()
+            train_loss, train_acc = net.evaluate(train_x, ds.train_y)
+            test_loss, test_acc = net.evaluate(test_x, ds.test_y)
+            ortho_total = trainer.ortho_total()
+            t_row = time.monotonic()
+            rec = MetricsRecord(
+                epoch=epoch,
+                step=step,
+                train_loss=train_loss,
+                train_acc=train_acc,
+                test_loss=test_loss,
+                test_acc=test_acc,
+                ortho_loss_total=ortho_total,
+                mean_step_angle_radians=mean_angle,
+                lr_e=lr_e,
+                lr_g=lr_g,
+                wall_time=0.0,
+            )
             records.append(rec)
             writer.write(rec)
+            t_save = time.monotonic()
             save_checkpoint(checkpoint_path, trainer)
+            t_end = time.monotonic()
+            phases = {
+                "epoch": epoch,
+                "train_s": t_evaluate - t_train,
+                "evaluate_s": t_row - t_evaluate,
+                "save_s": t_end - t_save,
+                "elapsed_s": t_end - started,
+            }
+            timing.write(json.dumps(phases) + "\n")
+            timing.flush()
 
-    paths = {"metrics": metrics_path, "checkpoint": checkpoint_path, "out_dir": out_dir}
+    paths = {"metrics": metrics_path, "checkpoint": checkpoint_path, "timing": timing_path, "out_dir": out_dir}
     return records, paths
 
 

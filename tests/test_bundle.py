@@ -474,7 +474,8 @@ def _bad_checkpoints(tmp_path):
 @pytest.mark.parametrize("case", ["missing", "wrong_shape", "not_tangent", "overflowing"])
 def test_bad_momentum_raises_validation_error(tmp_path, case):
     path = _bad_checkpoints(tmp_path)[case]
-    message = {"not_tangent": "not tangent", "overflowing": "not finite"}.get(case, "point3.tau")
+    message = {"not_tangent": "'point3.tau' is not tangent",
+               "overflowing": "'point3.tau' has a column norm that is not finite"}.get(case, "point3.tau")
     with pytest.raises(ValidationError, match=message):
         load_checkpoint(path)
 

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +38,37 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
     trainer = load_checkpoint(os.path.join(out, "checkpoint.npz"))
     assert trainer.optimizer == "sgd-g"
     assert os.path.exists(os.path.join(out, "config.ini"))
+
+
+def _timing_lines(out):
+    with open(os.path.join(out, "timing.jsonl")) as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_writes_one_timing_line_per_checkpoint(tmp_path, epochs):
+    code, out = _train(tmp_path, "timed", ["--epochs", str(epochs)])
+    assert code == 0
+    lines = _timing_lines(out)
+    rows = open(os.path.join(out, "metrics.csv")).read().splitlines()[1:]
+    assert [line["epoch"] for line in lines] == list(range(epochs + 1)) == [int(r.split(",")[0]) for r in rows]
+    previous = 0.0
+    for line in lines:
+        assert list(line) == ["epoch", "train_s", "evaluate_s", "save_s", "elapsed_s"]
+        assert all(math.isfinite(v) and v >= 0 for v in line.values()), line
+        # the phases are disjoint parts of the time since the previous line
+        assert line["train_s"] + line["evaluate_s"] + line["save_s"] <= line["elapsed_s"] - previous + 1e-9
+        previous = line["elapsed_s"]
+    assert lines[0]["train_s"] == 0.0  # the initial state takes no step
+
+
+def test_train_refuses_the_removed_timing_key(tmp_path, capsys):
+    path = tmp_path / "timing.ini"
+    path.write_text("[output]\ntiming = true\n")
+    code = cli.main(["train", "--config", str(path), "--out_dir", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown config key 'output.timing'\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_epochs_zero_initial_evaluation_only(tmp_path):
@@ -151,6 +184,8 @@ def test_train_runtime_abort_exit_2_and_last_good_checkpoint(tmp_path):
     assert trainer.optimizer == "sgd"
     lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert len(lines) >= 2  # header + at least the initial record (valid prefix)
+    # one timing line per checkpoint written: the epoch-1 save is refused
+    assert [line["epoch"] for line in _timing_lines(out)] == [0]
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -191,6 +226,16 @@ def test_compare_median_is_order_statistic(tmp_path):
     assert len(per_run) == 6
     # seeds recorded as base_seed + i
     assert [r.split(",")[1] for r in per_run[1:]] == ["0", "1", "2", "3", "4"]
+
+
+def test_compare_writes_timing_per_run(tmp_path):
+    out = tmp_path / "cmp_timing"
+    runner.run_compare(None, {"epochs": "1", "n_per_class": "20", "dim": "6", "hidden": "4,3",
+                              "batch_size": "10"}, ["sgd", "adam-g"], runs=2, out_dir=str(out))
+    for name in ("sgd", "adam-g"):
+        for seed in (0, 1):
+            run = out / "compare" / name / f"seed{seed}"
+            assert [line["epoch"] for line in _timing_lines(run)] == [0, 1]
 
 
 def test_compare_unknown_optimizer(tmp_path):

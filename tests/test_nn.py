@@ -158,6 +158,24 @@ def test_bn_running_stats_updated_only_on_request():
     assert bn.running_var == pytest.approx(0.9 * np.ones(2) + 0.1 * unbiased, rel=1e-12)
 
 
+def test_bn_running_stats_update_in_place_with_the_out_of_place_bytes():
+    bn = BatchNormLayer(6, momentum_stats=0.3)
+    running_mean, running_var = bn.running_mean, bn.running_var
+    rng = np.random.default_rng(31)
+    for shape in [(10, 6), (4, 3, 5, 6), (7, 6)]:
+        x = rng.standard_normal(shape) * 2.0 + 0.5
+        _, cache = bn.forward(x, training=True)
+        xhat, _, mean, var = cache
+        rows = xhat.size // bn.units
+        w = bn.momentum_stats
+        expected_mean = (1.0 - w) * bn.running_mean + w * mean
+        expected_var = (1.0 - w) * bn.running_var + w * (var * rows / (rows - 1))
+        bn.update_running(cache)
+        assert bn.running_mean is running_mean and bn.running_var is running_var
+        assert bn.running_mean.tobytes() == expected_mean.tobytes()
+        assert bn.running_var.tobytes() == expected_var.tobytes()
+
+
 def test_bn_channels_last_equals_bn_of_rows():
     # A (m, h, w, c) batch is normalized per channel over its m*h*w rows.
     rng = np.random.default_rng(25)
